@@ -486,7 +486,11 @@ def parse_pure_word(text: str, strands: int) -> tuple[tuple[PureGeneratorId, int
         inner = base[2:-1].split(",")
         if len(inner) != 2:
             raise BraidError(f"bad pure-generator token {token!r}")
-        gen = PureGeneratorId(int(inner[0]), int(inner[1]), strands)
+        try:
+            i, j = int(inner[0]), int(inner[1])
+        except ValueError:
+            raise BraidError(f"bad pure-generator token {token!r}") from None
+        gen = PureGeneratorId(i, j, strands)
         sign = 1 if exp > 0 else -1
         letters += [(gen, sign)] * abs(exp)
     return tuple(letters)

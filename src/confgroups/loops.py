@@ -11,8 +11,9 @@ frames.  Two invariants are extracted:
   imaginary part.  The opposite convention would invert every extracted word.
 * det_winding computes the winding number around 0 of the frame determinant
   det[x_1 - x_0, ..., x_n - x_0] for loops of k = n+1 points spanning all of
-  C^n, by summing principal-branch argument increments (auto-refining by
-  linear interpolation whenever a single increment reaches pi/2).
+  C^n and closed pointwise, by summing principal-branch argument increments
+  (auto-refining by linear interpolation whenever a single increment reaches
+  pi/2).
 
 Between consecutive frames strands move linearly, so each pair of strands
 crosses at most once per step and a step's crossings are exactly the
@@ -21,6 +22,17 @@ sign is read as that permutation braid (this is what the full- and
 half-turn steps of the standard loops produce); mixed-sign steps are split
 by bisection, and simultaneous mixed crossings are accepted only when they
 decompose into disjoint uniform-sign blocks.
+
+Per-frame work runs as numpy operations over the whole frame axis: reading
+the JSON coordinates, the finiteness and pairwise-distance checks (in chunks
+of _CHUNK_FRAMES frames, so temporaries stay bounded), the span SVDs, the
+determinants and their Hadamard floors, the determinant phase increments,
+the real-part tie test and the real-part order of every frame.  Python loops
+remain only where single frames or steps need individual treatment: nudging
+a tied frame off its tie, reading the letters of a step whose real-part
+order changes (a step whose order is unchanged has no crossings), refining
+a determinant step whose increment reaches pi/2, and matching the end frames
+as point sets.
 """
 
 from __future__ import annotations
@@ -56,6 +68,7 @@ _SPAN_TOL = 1e-8
 _DET_FLOOR = 1e-12
 _CLOSURE_TOL = 1e-6
 _BISECT_SPLITS = (0.5, 0.25, 0.75, 0.125, 0.875, 0.0625, 0.9375, 0.03125)
+_CHUNK_FRAMES = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +87,12 @@ class ConfigLoop:
             raise LoopError("a loop needs at least 2 frames")
         if self.k < 1 or self.n < 1:
             raise LoopError("need k >= 1 and n >= 1")
-        scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
-        for t in range(arr.shape[0]):
-            if _min_pairwise_distance(arr[t]) <= _TIE_MARGIN * scale:
-                raise LoopError(f"frame {t} has coincident points")
+        if not np.all(np.isfinite(arr)):
+            raise LoopError("frames must have finite coordinates")
+        scale = max(1.0, float(np.max(np.abs(arr))))
+        t = _first_coincident_frame(arr, _TIE_MARGIN * scale)
+        if t is not None:
+            raise LoopError(f"frame {t} has coincident points")
         if not _frames_match_as_sets(arr[0], arr[-1], _CLOSURE_TOL * scale):
             raise LoopError("loop is not closed: first and last frames differ as point sets")
         arr.setflags(write=False)
@@ -88,25 +103,36 @@ class ConfigLoop:
         return int(self.frames.shape[0])
 
 
-def _min_pairwise_distance(frame: np.ndarray) -> float:
-    k = frame.shape[0]
-    if k < 2:
-        return math.inf
-    diffs = frame[:, None, :] - frame[None, :, :]
-    dist = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=-1))
-    return float(np.min(dist[np.triu_indices(k, 1)]))
+def _first_coincident_frame(frames: np.ndarray, margin: float) -> int | None:
+    """Index of the first frame with two points at most margin apart."""
+    iu, ju = np.triu_indices(frames.shape[1], 1)
+    for start in range(0, frames.shape[0], _CHUNK_FRAMES):
+        chunk = frames[start : start + _CHUNK_FRAMES]
+        dist = np.sqrt(np.sum(np.abs(chunk[:, iu] - chunk[:, ju]) ** 2, axis=-1))
+        bad = np.flatnonzero(np.any(dist <= margin, axis=1))
+        if bad.size:
+            return start + int(bad[0])
+    return None
+
 
 def _frames_match_as_sets(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    # bijective nearest-point matching; unordered flavors close up to relabeling
-    k = a.shape[0]
-    used = [False] * k
-    for p in range(k):
-        dist = np.sqrt(np.sum(np.abs(b - a[p]) ** 2, axis=-1))
-        q = int(np.argmin(np.where(used, np.inf, dist)))
-        if used[q] or dist[q] > tol:
-            return False
-        used[q] = True
-    return True
+    """Is there a bijection a -> b moving no point by more than tol?  Unordered
+    flavors close only up to relabeling.  Augmenting paths (Kuhn) on the
+    dist <= tol bipartite graph; k is small."""
+    near = np.sqrt(np.sum(np.abs(a[:, None, :] - b[None, :, :]) ** 2, axis=-1)) <= tol
+    adj = [np.flatnonzero(row).tolist() for row in near]
+    owner = [-1] * len(adj)  # owner[q] = the point of a matched to b[q]
+
+    def augment(p: int, seen: set[int]) -> bool:
+        for q in adj[p]:
+            if q not in seen:
+                seen.add(q)
+                if owner[q] < 0 or augment(owner[q], seen):
+                    owner[q] = p
+                    return True
+        return False
+
+    return all(augment(p, set()) for p in range(len(adj)))
 
 
 # ---------------------------------------------------------------------------
@@ -126,24 +152,26 @@ def span_dimension(points, tol: float = _SPAN_TOL) -> int:
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2:
         raise LoopError("points must be a k x n array")
-    if pts.shape[0] == 1:
-        return 0
-    sv = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
-    if sv.size == 0 or sv[0] < 1e-300:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return int(_span_dimensions(_span_singular_values(pts[None]), tol)[0])
+
+
+def _span_singular_values(frames: np.ndarray) -> np.ndarray:
+    """Singular values of every frame's difference matrix [x_1 - x_0, ...],
+    shape (T, min(k-1, n))."""
+    return np.linalg.svd(frames[:, 1:] - frames[:, :1], compute_uv=False)
+
+
+def _span_dimensions(sv: np.ndarray, tol: float) -> np.ndarray:
+    """Per frame, the number of singular values above tol relative to the
+    largest; 0 when the largest is below an absolute floor or there is none."""
+    top = sv[:, :1]
+    return np.sum((sv > tol * top) & (top >= 1e-300), axis=1)
 
 
 def span_reports(loop: ConfigLoop, tol: float = _SPAN_TOL) -> list[SpanReport]:
-    out = []
-    for t in range(loop.num_frames):
-        pts = loop.frames[t]
-        if pts.shape[0] == 1:
-            sv: tuple[float, ...] = ()
-        else:
-            sv = tuple(float(v) for v in np.linalg.svd(pts[1:] - pts[0], compute_uv=False))
-        out.append(SpanReport(t, sv, span_dimension(pts, tol)))
-    return out
+    sv = _span_singular_values(loop.frames)
+    dims = _span_dimensions(sv, tol).tolist()
+    return [SpanReport(t, tuple(row), dims[t]) for t, row in enumerate(sv.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +243,16 @@ def loop_from_json_obj(obj: dict) -> ConfigLoop:
         k, n = int(obj["k"]), int(obj["n"])
         if not obj.get("closed", True):
             raise LoopError("loop JSON must describe a closed loop")
-        arr = np.array(
-            [
-                [[complex(re, im) for re, im in point] for point in frame]
-                for frame in obj["frames"]
-            ],
-            dtype=complex,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        pairs = np.array(obj["frames"])
+        if pairs.dtype == object and all(isinstance(v, (int, float)) for v in pairs.flat):
+            pairs = pairs.astype(float)  # integers beyond 64 bits
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, LoopError):
             raise
         raise LoopError(f"malformed loop JSON: {exc}") from exc
-    return ConfigLoop(k, n, arr)
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != 4 or pairs.shape[-1] != 2:
+        raise LoopError("malformed loop JSON: frames must be nested lists of [re, im] number pairs")
+    return ConfigLoop(k, n, np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -254,25 +280,26 @@ def _project_to_line(loop: ConfigLoop, line_tol: float) -> np.ndarray:
     return coeffs
 
 
-def _has_real_tie(z: np.ndarray, margin: float) -> bool:
-    re = np.sort(z.real)
-    return bool(np.any(np.diff(re) <= margin))
+def _real_ties(z: np.ndarray, margin: float) -> np.ndarray:
+    """Per frame of z (..., k): do two points have real parts within margin?"""
+    return np.any(np.diff(np.sort(z.real, axis=-1), axis=-1) <= margin, axis=-1)
 
 
-def _resolve_frame_ties(zf: np.ndarray, margin: float) -> list[np.ndarray]:
-    frames = [zf[t] for t in range(zf.shape[0])]
-    out: list[np.ndarray] = []
-    last = len(frames) - 1
-    for t, frame in enumerate(frames):
-        if not _has_real_tie(frame, margin):
-            out.append(frame)
-            continue
-        other = frames[t + 1] if t < last else frames[t - 1]
+def _resolve_frame_ties(zf: np.ndarray, margin: float) -> np.ndarray:
+    """zf with every tied frame nudged towards its neighbour frame, by the
+    largest of 1/2, 1/4, ..., 1/256 of the way that removes the tie."""
+    tied = np.flatnonzero(_real_ties(zf, margin)).tolist()
+    if not tied:
+        return zf
+    out = zf.copy()
+    last = zf.shape[0] - 1
+    for t in tied:
+        other = zf[t + 1] if t < last else zf[t - 1]
         for attempt in range(1, 9):
             w = 2.0 ** -attempt
-            cand = (1 - w) * frame + w * other
-            if not _has_real_tie(cand, margin):
-                out.append(cand)
+            cand = (1 - w) * zf[t] + w * other
+            if not _real_ties(cand, margin):
+                out[t] = cand
                 break
         else:
             raise TieError(
@@ -360,7 +387,7 @@ def _step_letters(E: np.ndarray, F: np.ndarray, k: int, margin: float, depth: in
         return _block_letters(k, pi, crossings, margin)
     for split in _BISECT_SPLITS:
         mid = (1 - split) * E + split * F
-        if not _has_real_tie(mid, margin):
+        if not _real_ties(mid, margin):
             return _step_letters(E, mid, k, margin, depth - 1) + _step_letters(
                 mid, F, k, margin, depth - 1
             )
@@ -382,8 +409,11 @@ def extract_braid(
     scale = max(1.0, float(np.max(np.abs(zf))))
     margin = tie_margin * scale
     eff = _resolve_frame_ties(zf, margin)
+    # a crossing reverses a pair's real-part order, which changes the sort order
+    order = np.argsort(eff.real, axis=1, kind="stable")
+    moved = np.flatnonzero(np.any(order[1:] != order[:-1], axis=1)).tolist()
     letters: list[tuple[int, int]] = []
-    for t in range(len(eff) - 1):
+    for t in moved:
         letters += _step_letters(eff[t], eff[t + 1], loop.k, margin, max_depth)
     return BraidWord(loop.k, tuple(letters))
 
@@ -392,26 +422,36 @@ def extract_braid(
 # determinant winding
 
 
-def _frame_det(frame: np.ndarray) -> complex:
-    diffs = frame[1:] - frame[0]
-    return complex(np.linalg.det(diffs))
-
-
-def _det_floor(frame: np.ndarray) -> float:
-    diffs = frame[1:] - frame[0]
-    norms = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=1))
-    hadamard = float(np.prod(np.maximum(norms, 1e-300)))
-    return _DET_FLOOR * max(1.0, hadamard)
+def _dets_and_floors(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every frame's determinant det[x_1 - x_0, ..., x_n - x_0] and the floor
+    below which it counts as zero: _DET_FLOOR times the Hadamard bound, at
+    least _DET_FLOOR."""
+    diffs = frames[:, 1:] - frames[:, :1]
+    norms = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=2))
+    hadamard = np.prod(np.maximum(norms, 1e-300), axis=1)
+    return np.linalg.det(diffs), _DET_FLOOR * np.maximum(1.0, hadamard)
 
 
 def det_winding(loop: ConfigLoop, *, tol: float = _SPAN_TOL, refine_budget: int = 1024) -> int:
     """Winding number around 0 of the determinant path of a full-span loop of
-    k = n+1 points."""
+    k = n+1 points.  The loop must close pointwise: one that closes only up
+    to relabeling has a determinant path that need not close."""
     if loop.k != loop.n + 1:
         raise LoopError(f"det_winding needs k = n+1 points, got k={loop.k}, n={loop.n}")
-    for t in range(loop.num_frames):
-        if span_dimension(loop.frames[t], tol) != loop.n:
-            raise DegenerateSpanError(f"frame {t} does not span dimension {loop.n}")
+    frames = loop.frames
+    scale = max(1.0, float(np.max(np.abs(frames))))
+    if float(np.max(np.abs(frames[-1] - frames[0]))) > _CLOSURE_TOL * scale:
+        raise LoopError(
+            "det_winding needs a loop closed pointwise; this one closes only up to relabeling"
+        )
+    low = np.flatnonzero(_span_dimensions(_span_singular_values(frames), tol) != loop.n)
+    if low.size:
+        raise DegenerateSpanError(f"frame {low[0]} does not span dimension {loop.n}")
+    dets, floors = _dets_and_floors(frames)
+    # hypot rounds like abs() of a Python complex, which the refinement uses
+    small = np.flatnonzero(np.hypot(dets.real, dets.imag) < floors)
+    if small.size:
+        raise DegenerateSpanError(f"frame {small[0]} determinant below the floor")
     budget = [refine_budget]
 
     def segment(a: np.ndarray, b: np.ndarray, det_a: complex, det_b: complex) -> float:
@@ -422,20 +462,17 @@ def det_winding(loop: ConfigLoop, *, tol: float = _SPAN_TOL, refine_budget: int 
             raise LoopError("refinement budget exceeded while tracking the determinant")
         budget[0] -= 1
         mid = (a + b) / 2
-        det_m = _frame_det(mid)
-        if abs(det_m) < _det_floor(mid):
+        det_m, floor_m = _dets_and_floors(mid[None])
+        det_m = complex(det_m[0])
+        if abs(det_m) < floor_m[0]:
             raise DegenerateSpanError(
                 "determinant dropped below the floor between frames"
             )
         return segment(a, mid, det_a, det_m) + segment(mid, b, det_m, det_b)
 
-    dets = []
-    for t in range(loop.num_frames):
-        d = _frame_det(loop.frames[t])
-        if abs(d) < _det_floor(loop.frames[t]):
-            raise DegenerateSpanError(f"frame {t} determinant below the floor")
-        dets.append(d)
-    total = 0.0
-    for t in range(loop.num_frames - 1):
-        total += segment(loop.frames[t], loop.frames[t + 1], dets[t], dets[t + 1])
-    return int(round(total / (2 * math.pi)))
+    steps = np.angle(dets[1:] / dets[:-1])
+    # np.angle and cmath.phase can round differently in the last bits, so every
+    # step near the pi/2 threshold is decided (and refined) by segment alone
+    for t in np.flatnonzero(np.abs(steps) >= math.pi / 2 - 1e-9).tolist():
+        steps[t] = segment(frames[t], frames[t + 1], complex(dets[t]), complex(dets[t + 1]))
+    return int(round(float(np.sum(steps)) / (2 * math.pi)))

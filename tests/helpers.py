@@ -4,11 +4,13 @@ Everything in this file is deliberately independent of the package's own
 normal-form / linear-algebra code paths: brute-force rewriting closure for
 positive braid words, gcd-of-minors invariant factors, an unwrap-based winding
 count, and a tiny standalone permutation calculus.  The package is tested
-against these, never the other way around.
+against these, never the other way around.  The frame-by-frame loop functions
+at the end are the references for the package's batched loop layer.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -176,3 +178,133 @@ def insert_word_relator(
     if rng.random() < 0.5:
         rel = [(i, -s) for i, s in reversed(rel)]
     return list(letters[:pos]) + rel + list(letters[pos:])
+
+
+# ---------------------------------------------------------------------------
+# frame-by-frame references for the batched loop layer: the per-frame code
+# that confgroups.loops runs as array operations over the frame axis.  They
+# reuse the package's line projection and per-step letter reader, which the
+# batching leaves unchanged, and must agree with the package exactly.
+
+_TIE_MARGIN, _LINE_TOL, _SPAN_TOL, _DET_FLOOR = 1e-9, 1e-8, 1e-8, 1e-12
+
+
+def reference_loop_from_json_obj(obj: dict):
+    from confgroups.loops import ConfigLoop
+
+    k, n = int(obj["k"]), int(obj["n"])
+    if not obj.get("closed", True):
+        raise ValueError("loop JSON must describe a closed loop")
+    arr = np.array(
+        [[[complex(re, im) for re, im in point] for point in frame] for frame in obj["frames"]],
+        dtype=complex,
+    )
+    return ConfigLoop(k, n, arr)
+
+
+def min_pairwise_distance(frame: np.ndarray) -> float:
+    k = frame.shape[0]
+    if k < 2:
+        return math.inf
+    diffs = frame[:, None, :] - frame[None, :, :]
+    dist = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=-1))
+    return float(np.min(dist[np.triu_indices(k, 1)]))
+
+
+def reference_span_dimension(pts: np.ndarray, tol: float = _SPAN_TOL) -> int:
+    if pts.shape[0] == 1:
+        return 0
+    sv = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
+    if sv.size == 0 or sv[0] < 1e-300:
+        return 0
+    return int(np.sum(sv > tol * sv[0]))
+
+
+def reference_span_reports(loop, tol: float = _SPAN_TOL) -> list[tuple]:
+    out = []
+    for t in range(loop.num_frames):
+        pts = loop.frames[t]
+        sv = () if pts.shape[0] == 1 else tuple(
+            float(v) for v in np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
+        )
+        out.append((t, sv, reference_span_dimension(pts, tol)))
+    return out
+
+
+def _has_real_tie(z: np.ndarray, margin: float) -> bool:
+    return bool(np.any(np.diff(np.sort(z.real)) <= margin))
+
+
+def reference_extract_braid(loop, *, tie_margin=_TIE_MARGIN, line_tol=_LINE_TOL, max_depth=32):
+    from confgroups.braids import BraidWord
+    from confgroups.loops import TieError, _project_to_line, _step_letters
+
+    if loop.k == 1:
+        return BraidWord(1)
+    zf = _project_to_line(loop, line_tol)
+    margin = tie_margin * max(1.0, float(np.max(np.abs(zf))))
+    eff = []
+    for t in range(zf.shape[0]):
+        frame = zf[t]
+        if not _has_real_tie(frame, margin):
+            eff.append(frame)
+            continue
+        other = zf[t + 1] if t < zf.shape[0] - 1 else zf[t - 1]
+        for attempt in range(1, 9):
+            w = 2.0 ** -attempt
+            cand = (1 - w) * frame + w * other
+            if not _has_real_tie(cand, margin):
+                eff.append(cand)
+                break
+        else:
+            raise TieError(f"frame {t}: points share a real part beyond the perturbation budget")
+    letters = []
+    for t in range(len(eff) - 1):
+        letters += _step_letters(eff[t], eff[t + 1], loop.k, margin, max_depth)
+    return BraidWord(loop.k, tuple(letters))
+
+
+def _frame_det(frame: np.ndarray) -> complex:
+    return complex(np.linalg.det(frame[1:] - frame[0]))
+
+
+def _det_floor(frame: np.ndarray) -> float:
+    norms = np.sqrt(np.sum(np.abs(frame[1:] - frame[0]) ** 2, axis=1))
+    return _DET_FLOOR * max(1.0, float(np.prod(np.maximum(norms, 1e-300))))
+
+
+def reference_det_winding(loop, *, tol=_SPAN_TOL, refine_budget=1024) -> int:
+    """The per-frame winding for loops closed pointwise (the package also
+    rejects loops that close only up to relabeling)."""
+    from confgroups.loops import DegenerateSpanError, LoopError
+
+    if loop.k != loop.n + 1:
+        raise LoopError(f"det_winding needs k = n+1 points, got k={loop.k}, n={loop.n}")
+    for t in range(loop.num_frames):
+        if reference_span_dimension(loop.frames[t], tol) != loop.n:
+            raise DegenerateSpanError(f"frame {t} does not span dimension {loop.n}")
+    budget = [refine_budget]
+
+    def segment(a, b, det_a, det_b):
+        delta = cmath.phase(det_b / det_a)
+        if abs(delta) < math.pi / 2:
+            return delta
+        if budget[0] <= 0:
+            raise LoopError("refinement budget exceeded while tracking the determinant")
+        budget[0] -= 1
+        mid = (a + b) / 2
+        det_m = _frame_det(mid)
+        if abs(det_m) < _det_floor(mid):
+            raise DegenerateSpanError("determinant dropped below the floor between frames")
+        return segment(a, mid, det_a, det_m) + segment(mid, b, det_m, det_b)
+
+    dets = []
+    for t in range(loop.num_frames):
+        d = _frame_det(loop.frames[t])
+        if abs(d) < _det_floor(loop.frames[t]):
+            raise DegenerateSpanError(f"frame {t} determinant below the floor")
+        dets.append(d)
+    total = 0.0
+    for t in range(loop.num_frames - 1):
+        total += segment(loop.frames[t], loop.frames[t + 1], dets[t], dets[t + 1])
+    return int(round(total / (2 * math.pi)))

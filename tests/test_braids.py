@@ -269,8 +269,9 @@ def test_parse_pure_word():
         (PureGeneratorId(1, 2, 3), 1),
         (PureGeneratorId(1, 3, 3), -1),
     )
-    with pytest.raises(BraidError):
-        parse_pure_word("s1", 3)
+    for bad in ("s1", "a[1,x]"):
+        with pytest.raises(BraidError):
+            parse_pure_word(bad, 3)
 
 
 def test_form_serialization():

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+from confgroups import loops
 from confgroups.braids import (
     BraidWord,
     delta_word,
@@ -75,11 +78,44 @@ def test_loop_validation():
         loop.frames[0, 0, 0] = 5.0  # frames are read-only
 
 
+def test_non_finite_coordinates_are_rejected():
+    for bad in (math.nan, math.inf, complex(0, -math.inf)):
+        with pytest.raises(LoopError, match="finite"):
+            _loop_from_points(2, 1, [[[1], [-1]], [[bad], [-1]], [[1], [-1]]])
+    obj = loop_to_json_obj(_half_turn())
+    obj["frames"][30][0][0][0] = math.nan  # one NaN frame
+    with pytest.raises(LoopError, match="finite"):
+        loop_from_json_obj(obj)
+
+
+def test_coincident_frame_index_across_chunks():
+    base = make_gamma_loop(3, 3 * loops._CHUNK_FRAMES + 5).frames
+    for bad in (1, loops._CHUNK_FRAMES - 1, loops._CHUNK_FRAMES, 2 * loops._CHUNK_FRAMES + 3):
+        arr = base.copy()
+        arr[bad, 2] = arr[bad, 1]
+        arr[bad + 2, 0] = arr[bad + 2, 1]
+        first = next(
+            t for t in range(len(arr)) if helpers.min_pairwise_distance(arr[t]) <= 1e-9 * 3
+        )
+        assert first == bad
+        with pytest.raises(LoopError, match=f"^frame {bad} has coincident points$"):
+            ConfigLoop(3, 2, arr)
+
+
 def test_loop_closes_as_a_point_set():
     # a half-turn swap is closed only up to relabeling; still a valid loop
     loop = _half_turn()
     assert not np.allclose(loop.frames[0], loop.frames[-1])
     assert loop.num_frames == 65
+
+
+def test_closure_matches_points_by_any_bijection_within_tolerance():
+    # nearest-point greedy sends 0 -> 0.3e-6 and strands 1.2e-6; 0 -> -0.9e-6,
+    # 1.2e-6 -> 0.3e-6 moves each point by 0.9e-6 <= 1e-6
+    loop = _loop_from_points(2, 1, [[[0], [1.2e-6]], [[0.3e-6], [-0.9e-6]]])
+    assert loop.num_frames == 2
+    with pytest.raises(LoopError, match="not closed"):
+        _loop_from_points(2, 1, [[[0], [1.2e-6]], [[-1.1e-6], [0.3e-6]]])
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +344,12 @@ def test_winding_errors():
         det_winding(ConfigLoop(2, 1, arr))
 
 
+def test_winding_needs_pointwise_closure():
+    # the half-turn swap closes only as a set: its determinant path ends at -det
+    with pytest.raises(LoopError, match="closed pointwise"):
+        det_winding(_half_turn())
+
+
 # ---------------------------------------------------------------------------
 # JSON form
 
@@ -332,3 +374,154 @@ def test_json_malformed():
     ):
         with pytest.raises(LoopError):
             loop_from_json_obj(broken)
+
+
+# ---------------------------------------------------------------------------
+# batched loop layer against the frame-by-frame references
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except LoopError as exc:
+        return type(exc), str(exc)
+
+
+def _mixed_sign_loop(tied_midpoint):
+    # strand 0 sweeps across the other two, passing below one and above the
+    # other: every step needs bisection; with a tied midpoint the first split
+    # frame has a real-part tie and a later split is used
+    middle = 0 if tied_midpoint else -1
+    e = [[-3 + 0j], [middle + 1j], [1 - 1j]]
+    f = [[3 + 0j], [middle + 1j], [1 - 1j]]
+    return _loop_from_points(3, 1, [e, f, e])
+
+
+def _random_line_loops(seed, count):
+    """Coarsely sampled loops of points circling on one complex line in C^n;
+    invalid draws (coincident points) are skipped."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        k, n, frames = int(rng.integers(2, 6)), int(rng.integers(1, 3)), int(rng.integers(4, 40))
+        ts = np.arange(frames) / (frames - 1)
+        centres = rng.normal(size=k) * 2 + 1j * rng.normal(size=k)
+        radii = rng.uniform(0.2, 1.5, size=k)
+        turns = rng.integers(-1, 2, size=k)
+        z = centres + radii * np.exp(2j * np.pi * np.outer(ts, turns))
+        z[-1] = z[0]
+        direction = rng.normal(size=n) + 1j * rng.normal(size=n)
+        try:
+            out.append(ConfigLoop(k, n, z[:, :, None] * (direction / np.linalg.norm(direction))))
+        except LoopError:
+            continue
+    return out
+
+
+def _random_h_loops(seed, count):
+    """k = n+1 points in general position, the last circling the first
+    `turns` times over few frames, so steps often need refinement."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n, frames = int(rng.integers(1, 4)), int(rng.integers(3, 30))
+        pts = rng.normal(size=(n + 1, n)) + 1j * rng.normal(size=(n + 1, n))
+        z = np.exp(2j * np.pi * int(rng.integers(-2, 3)) * np.arange(frames) / (frames - 1))
+        arr = np.repeat(pts[None], frames, axis=0)
+        arr[:, n] = pts[0] + z[:, None] * (pts[n] - pts[0])
+        arr[-1] = arr[0]
+        try:
+            out.append(ConfigLoop(n + 1, n, arr))
+        except LoopError:
+            continue
+    return out
+
+
+def test_batched_braid_extraction_matches_per_frame_reference():
+    cases = [
+        (make_gamma_loop(3), {}),
+        (make_gamma_loop(4, 3 * loops._CHUNK_FRAMES + 7), {}),  # ties, several chunks
+        (_half_turn(+1), {}),
+        (_half_turn(-1, 129), {}),
+        (_full_turn(), {}),
+        (_mixed_sign_loop(False), {}),
+        (_mixed_sign_loop(True), {}),
+        (_mixed_sign_loop(True), {"max_depth": 1}),
+        (_loop_from_points(3, 1, [[[-1 + 0j], [1j], [1 - 1j]], [[1 + 0j], [1j], [-1 - 1j]]] * 2
+                           + [[[-1 + 0j], [1j], [1 - 1j]]]), {"max_depth": 4}),
+        (_loop_from_points(2, 1, [[[0], [1j]]] * 4), {}),  # unresolvable tie
+    ] + [(loop, {}) for loop in _random_line_loops(7, 60)]
+    kinds = set()
+    for loop, kwargs in cases:
+        got = _outcome(extract_braid, loop, **kwargs)
+        assert got == _outcome(helpers.reference_extract_braid, loop, **kwargs)
+        kinds.add(type(got).__name__ if isinstance(got, BraidWord) else got[0].__name__)
+    assert {"BraidWord", "TieError", "CoarseFramesError"} <= kinds
+
+
+def test_batched_span_and_winding_match_per_frame_reference():
+    collinear = _loop_from_points(3, 2, [[[0, 0], [1, 0], [2, 0]]] * 4)
+    cases = [make_h_loop(2), make_h_loop(3, 3 * loops._CHUNK_FRAMES + 7), make_gamma_loop(3),
+             collinear, _loop_from_points(1, 2, [[[0, 0]], [[1j, 0]], [[0, 0]]])]
+    cases += _random_h_loops(11, 80) + _random_line_loops(13, 10)
+    windings = set()
+    for loop in cases:
+        got = [(r.frame_index, r.singular_values, r.dimension) for r in span_reports(loop)]
+        assert got == helpers.reference_span_reports(loop)
+        for budget in (0, 3, 1024):
+            w = _outcome(det_winding, loop, refine_budget=budget)
+            assert w == _outcome(helpers.reference_det_winding, loop, refine_budget=budget)
+            windings.add(w if isinstance(w, int) else w[0].__name__)
+    assert {-2, -1, 0, 1, 2, "LoopError", "DegenerateSpanError"} <= windings
+
+
+_numbers = st.one_of(
+    st.integers(), st.floats(), st.booleans(),
+    st.sampled_from((10**400, -(10**400), 2**63, 2**64 + 1, math.inf, math.nan)),
+)
+_json_values = st.recursive(
+    st.one_of(_numbers, st.none(), st.text(max_size=2)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _loop_json_objs(draw):
+    """Loop JSON that is well formed (constant frames, which always close)
+    except where a leaf, a pair or a frame is replaced by an arbitrary value."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    pair = st.lists(_numbers, min_size=2, max_size=2)
+    frame = draw(st.lists(st.lists(pair, min_size=n, max_size=n), min_size=k, max_size=k))
+    frames = [frame] * draw(st.integers(0, 3))
+    if frames and draw(st.booleans()):
+        t, p, c = (draw(st.integers(0, len(x) - 1)) for x in (frames, frame, frame[0]))
+        frames[t] = [list(map(list, pt)) for pt in frames[t]]
+        target = draw(st.sampled_from(("leaf", "pair", "frame")))
+        if target == "leaf":
+            frames[t][p][c][draw(st.integers(0, 1))] = draw(_json_values)
+        elif target == "pair":
+            frames[t][p][c] = draw(_json_values)
+        else:
+            frames[t] = draw(_json_values)
+    obj = {"k": draw(st.one_of(st.just(k), _json_values)), "n": n, "frames": frames}
+    if draw(st.booleans()):
+        obj["frames"] = draw(_json_values)
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(_loop_json_objs())
+def test_loop_json_fuzz_raises_only_loop_errors(obj):
+    try:
+        expected = helpers.reference_loop_from_json_obj(obj)
+    except Exception:  # the reference lets TypeError, OverflowError, ... escape
+        expected = None
+    try:
+        got = loop_from_json_obj(obj)
+    except LoopError:
+        got = None
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert (got.k, got.n) == (expected.k, expected.n)
+        assert np.array_equal(got.frames, expected.frames)
