@@ -251,31 +251,29 @@ class _Tables:
     def normalise(self, factors: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
         """Left-weight a factor sequence.
 
-        Processes factors left to right, maintaining the invariant that the
-        processed prefix is left-weighted; each step renormalises the new
-        boundary pair and combs backwards until nothing changes (changes
-        cannot propagate further left past an unchanged pair).  Returns the
-        number of leading half twists stripped off and the remaining factors
-        (trailing identities dropped).
+        Builds the left-weighted prefix left to right without identity factors:
+        identities are skipped, every other factor is appended and combed back
+        while the boundary pair changes (a change cannot pass an unchanged
+        pair), and identities the combing leaves at the right end, the only
+        place a left-weighted sequence holds them, are popped.  Returns the
+        number of leading half twists stripped off and the remaining factors.
         """
-        fs = list(factors)
-        for t in range(len(fs) - 1):
-            p, q = self.renorm(fs[t], fs[t + 1])
-            if p == fs[t]:
+        fs: list[tuple[int, ...]] = []
+        for f in factors:
+            if f == self.identity:
                 continue
-            fs[t], fs[t + 1] = p, q
-            for j in range(t - 1, -1, -1):
+            fs.append(f)
+            for j in range(len(fs) - 2, -1, -1):
                 p, q = self.renorm(fs[j], fs[j + 1])
                 if p == fs[j]:
                     break
                 fs[j], fs[j + 1] = p, q
+            while fs[-1] == self.identity:
+                fs.pop()
         lead = 0
         while lead < len(fs) and fs[lead] == self.half_twist:
             lead += 1
-        tail = len(fs)
-        while tail > lead and fs[tail - 1] == self.identity:
-            tail -= 1
-        return lead, fs[lead:tail]
+        return lead, fs[lead:]
 
     def word_of(self, p: tuple[int, ...]) -> tuple[int, ...]:
         """A reduced word for A(p) (1-indexed letters), peeling starting letters."""
@@ -309,13 +307,34 @@ def multiply(u: BraidWord, v: BraidWord) -> BraidWord:
 
 
 def inverse(u: BraidWord) -> BraidWord:
-    return BraidWord(u.strands, tuple((i, -s) for i, s in reversed(u.letters)))
+    return BraidWord(u.strands, _inverse_letters(u.letters))
 
 
 def power(u: BraidWord, e: int) -> BraidWord:
-    if e < 0:
-        return power(inverse(u), -e)
-    return BraidWord(u.strands, u.letters * e)
+    return BraidWord(u.strands, _power_letters(u.letters, e))
+
+
+# Words are expanded in full, so every expansion is checked against this many
+# letters before it is allocated: "s1^1000000000000" raises BraidError instead
+# of exhausting memory.  A million letters is 8 MB of references, far beyond
+# the words of a few thousand letters this package is used on.
+_MAX_LETTERS = 1_000_000
+
+
+def _check_letter_budget(count: int) -> None:
+    if count > _MAX_LETTERS:
+        raise BraidError(f"word expands to {count} letters, over the limit of {_MAX_LETTERS}")
+
+
+def _inverse_letters(letters):
+    return tuple((i, -s) for i, s in reversed(letters))
+
+
+def _power_letters(letters, e: int, before: int = 0):
+    """letters repeated e times (the inverse -e times when e < 0), checked
+    against the letter budget together with `before` letters already held."""
+    _check_letter_budget(before + len(letters) * abs(e))
+    return (letters if e >= 0 else _inverse_letters(letters)) * abs(e)
 
 
 def garside_normal_form(u: BraidWord) -> GarsideForm:
@@ -376,11 +395,7 @@ def spell_form(form: GarsideForm) -> BraidWord:
     if k == 1:
         return BraidWord(1)
     tables = _tables(k)
-    letters: list[tuple[int, int]] = []
-    if form.delta_power >= 0:
-        letters += list(delta_word(k).letters) * form.delta_power
-    else:
-        letters += list(inverse(delta_word(k)).letters) * (-form.delta_power)
+    letters = list(_power_letters(delta_word(k).letters, form.delta_power))
     for f in form.factors:
         letters += [(i, 1) for i in tables.word_of(_lower(f))]
     return BraidWord(k, tuple(letters))
@@ -416,40 +431,42 @@ def d_word(k: int) -> BraidWord:
     """The full twist D_k = a[1,2] (a[1,3] a[2,3]) ... (a[1,k] ... a[k-1,k])."""
     if k < 2:
         raise BraidError("the full twist needs at least 2 strands")
-    out = BraidWord(k)
-    for gen in pure_generator_order(k):
-        out = multiply(out, pure_generator(gen))
-    return out
+    letters = [x for gen in pure_generator_order(k) for x in pure_generator(gen).letters]
+    return BraidWord(k, tuple(letters))
 
 
 def pure_word_to_braid(strands: int, letters) -> BraidWord:
     """Translate a word in pure-braid generators ((PureGeneratorId, sign) pairs)
     into the corresponding braid word."""
-    out = BraidWord(strands)
+    out: list[tuple[int, int]] = []
     for gen, sign in letters:
         if gen.strands != strands:
             raise BraidError("pure generator strand count mismatch")
-        image = pure_generator(gen)
-        out = multiply(out, image if sign > 0 else inverse(image))
-    return out
+        image = pure_generator(gen).letters
+        _check_letter_budget(len(out) + len(image))
+        out += image if sign > 0 else _inverse_letters(image)
+    return BraidWord(strands, tuple(out))
 
 
 # ---------------------------------------------------------------------------
 # text syntax: "s1 s2^-1 a[1,3] delta^2"
 
 
-def _parse_token(token: str, strands: int, allow_compound: bool) -> BraidWord:
+def _parse_token(token: str, strands: int, allow_compound: bool) -> tuple[tuple, int]:
     base, caret, exp_text = token.partition("^")
     try:
         exp = int(exp_text) if caret else 1
     except ValueError:
         raise BraidError(f"bad exponent in token {token!r}") from None
     if base.startswith("s") and base[1:].isdigit():
-        return power(BraidWord(strands, ((int(base[1:]), 1),)), exp)
+        i = int(base[1:])
+        if not 1 <= i <= strands - 1:
+            raise BraidError(f"generator index {i} out of range for {strands} strands")
+        return ((i, 1),), exp
     if base == "delta":
         if not allow_compound:
             raise BraidError("delta is not a generator of this group")
-        return power(delta_word(strands), exp)
+        return delta_word(strands).letters, exp
     if base.startswith("a[") and base.endswith("]"):
         if not allow_compound:
             raise BraidError(f"pure-braid generator {base!r} is not in this group's alphabet")
@@ -460,16 +477,17 @@ def _parse_token(token: str, strands: int, allow_compound: bool) -> BraidWord:
             i, j = int(inner[0]), int(inner[1])
         except ValueError:
             raise BraidError(f"bad pure-generator token {token!r}") from None
-        return power(pure_generator(PureGeneratorId(i, j, strands)), exp)
+        return pure_generator(PureGeneratorId(i, j, strands)).letters, exp
     raise BraidError(f"unrecognised word token {token!r}")
 
 
 def parse_word(text: str, strands: int, *, allow_compound: bool = True) -> BraidWord:
     """Parse braid-word text; a[i,j] and delta tokens expand to their words."""
-    out = BraidWord(strands)
+    letters: list[tuple[int, int]] = []
     for token in text.split():
-        out = multiply(out, _parse_token(token, strands, allow_compound))
-    return out
+        base, exp = _parse_token(token, strands, allow_compound)
+        letters += _power_letters(base, exp, len(letters))
+    return BraidWord(strands, tuple(letters))
 
 
 def parse_pure_word(text: str, strands: int) -> tuple[tuple[PureGeneratorId, int], ...]:
@@ -492,6 +510,7 @@ def parse_pure_word(text: str, strands: int) -> tuple[tuple[PureGeneratorId, int
             raise BraidError(f"bad pure-generator token {token!r}") from None
         gen = PureGeneratorId(i, j, strands)
         sign = 1 if exp > 0 else -1
+        _check_letter_budget(len(letters) + abs(exp))
         letters += [(gen, sign)] * abs(exp)
     return tuple(letters)
 

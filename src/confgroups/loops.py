@@ -90,10 +90,10 @@ class ConfigLoop:
         if not np.all(np.isfinite(arr)):
             raise LoopError("frames must have finite coordinates")
         scale = max(1.0, float(np.max(np.abs(arr))))
-        t = _first_coincident_frame(arr, _TIE_MARGIN * scale)
+        t = _first_coincident_frame(arr, scale, _TIE_MARGIN)
         if t is not None:
             raise LoopError(f"frame {t} has coincident points")
-        if not _frames_match_as_sets(arr[0], arr[-1], _CLOSURE_TOL * scale):
+        if not _frames_match_as_sets(arr[0], arr[-1], scale, _CLOSURE_TOL):
             raise LoopError("loop is not closed: first and last frames differ as point sets")
         arr.setflags(write=False)
         object.__setattr__(self, "frames", arr)
@@ -103,11 +103,14 @@ class ConfigLoop:
         return int(self.frames.shape[0])
 
 
-def _first_coincident_frame(frames: np.ndarray, margin: float) -> int | None:
-    """Index of the first frame with two points at most margin apart."""
+def _first_coincident_frame(frames: np.ndarray, scale: float, margin: float) -> int | None:
+    """Index of the first frame with two points at most margin * scale apart.
+
+    Coordinates are measured in units of scale (at least the largest
+    coordinate modulus), so differences and their squares cannot overflow."""
     iu, ju = np.triu_indices(frames.shape[1], 1)
     for start in range(0, frames.shape[0], _CHUNK_FRAMES):
-        chunk = frames[start : start + _CHUNK_FRAMES]
+        chunk = frames[start : start + _CHUNK_FRAMES] / scale
         dist = np.sqrt(np.sum(np.abs(chunk[:, iu] - chunk[:, ju]) ** 2, axis=-1))
         bad = np.flatnonzero(np.any(dist <= margin, axis=1))
         if bad.size:
@@ -115,10 +118,12 @@ def _first_coincident_frame(frames: np.ndarray, margin: float) -> int | None:
     return None
 
 
-def _frames_match_as_sets(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Is there a bijection a -> b moving no point by more than tol?  Unordered
-    flavors close only up to relabeling.  Augmenting paths (Kuhn) on the
-    dist <= tol bipartite graph; k is small."""
+def _frames_match_as_sets(a: np.ndarray, b: np.ndarray, scale: float, tol: float) -> bool:
+    """Is there a bijection a -> b moving no point by more than tol * scale?
+    Unordered flavors close only up to relabeling.  Augmenting paths (Kuhn)
+    on the dist <= tol bipartite graph, coordinates in units of scale; k is
+    small."""
+    a, b = a / scale, b / scale
     near = np.sqrt(np.sum(np.abs(a[:, None, :] - b[None, :, :]) ** 2, axis=-1)) <= tol
     adj = [np.flatnonzero(row).tolist() for row in near]
     owner = [-1] * len(adj)  # owner[q] = the point of a matched to b[q]

@@ -4,8 +4,9 @@ Everything in this file is deliberately independent of the package's own
 normal-form / linear-algebra code paths: brute-force rewriting closure for
 positive braid words, gcd-of-minors invariant factors, an unwrap-based winding
 count, and a tiny standalone permutation calculus.  The package is tested
-against these, never the other way around.  The frame-by-frame loop functions
-at the end are the references for the package's batched loop layer.
+against these, never the other way around.  The one-letter-per-factor
+combing and the frame-by-frame loop functions at the end are the references
+for the package's identity-free combing and batched loop layer.
 """
 
 from __future__ import annotations
@@ -181,6 +182,34 @@ def insert_word_relator(
 
 
 # ---------------------------------------------------------------------------
+# reference combing for the Garside kernel: one raw factor per letter in a
+# fixed-length list, so every later factor is combed back through the
+# identity factors that cancelled letters leave behind.  Same signature as
+# confgroups.braids._Tables.normalise, which must agree with it exactly.
+
+
+def reference_normalise(tables, factors):
+    fs = list(factors)
+    for t in range(len(fs) - 1):
+        p, q = tables.renorm(fs[t], fs[t + 1])
+        if p == fs[t]:
+            continue
+        fs[t], fs[t + 1] = p, q
+        for j in range(t - 1, -1, -1):
+            p, q = tables.renorm(fs[j], fs[j + 1])
+            if p == fs[j]:
+                break
+            fs[j], fs[j + 1] = p, q
+    lead = 0
+    while lead < len(fs) and fs[lead] == tables.half_twist:
+        lead += 1
+    tail = len(fs)
+    while tail > lead and fs[tail - 1] == tables.identity:
+        tail -= 1
+    return lead, fs[lead:tail]
+
+
+# ---------------------------------------------------------------------------
 # frame-by-frame references for the batched loop layer: the per-frame code
 # that confgroups.loops runs as array operations over the frame axis.  They
 # reuse the package's line projection and per-step letter reader, which the
@@ -202,10 +231,12 @@ def reference_loop_from_json_obj(obj: dict):
     return ConfigLoop(k, n, arr)
 
 
-def min_pairwise_distance(frame: np.ndarray) -> float:
+def min_pairwise_distance(frame: np.ndarray, scale: float = 1.0) -> float:
+    """The smallest distance between two points of the frame, in units of scale."""
     k = frame.shape[0]
     if k < 2:
         return math.inf
+    frame = frame / scale
     diffs = frame[:, None, :] - frame[None, :, :]
     dist = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=-1))
     return float(np.min(dist[np.triu_indices(k, 1)]))

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import helpers
+from confgroups import braids
 from confgroups.braids import (
     BraidError,
     BraidWord,
@@ -26,6 +27,7 @@ from confgroups.braids import (
     permutation_image,
     power,
     pure_generator,
+    pure_word_to_braid,
     spell_form,
 )
 
@@ -234,6 +236,47 @@ def test_garside_form_shape_is_enforced():
     assert nf == GarsideForm(3, 0, (s1, Permutation(3, (3, 1, 2))))
 
 
+def _random_token_text(rng, k, max_letters):
+    """Random word text over s_i^e, delta^e and a[i,j]^e tokens expanding to
+    at most max_letters letters."""
+    tokens, size = [], 0
+    while True:
+        e = rng.choice((-3, -2, -1, 1, 2, 3))
+        kind = rng.randrange(3)
+        if kind == 0:
+            token, letters = f"s{rng.randint(1, k - 1)}", 1
+        elif kind == 1:
+            token, letters = "delta", k * (k - 1) // 2
+        else:
+            j = rng.randint(2, k)
+            i = rng.randint(1, j - 1)
+            token, letters = f"a[{i},{j}]", 2 * (j - i)
+        if size + letters * abs(e) > max_letters:
+            return " ".join(tokens)
+        tokens.append(token if e == 1 else f"{token}^{e}")
+        size += letters * abs(e)
+
+
+def test_normal_form_matches_identity_combing_reference(monkeypatch):
+    rng = random.Random(14)
+    words = []
+    for n in range(2000):
+        k = rng.randint(2, 8)
+        length = rng.randint(0, 300)
+        if n % 3 == 0:
+            letters = helpers.random_letters(rng, k, length)
+        elif n % 3 == 1:  # u, then the inverse of a prefix of u: heavy cancellation
+            u = helpers.random_letters(rng, k, length // 2)
+            prefix = u[: rng.randint(0, len(u))]
+            letters = u + [(i, -s) for i, s in reversed(prefix)]
+        else:
+            letters = parse_word(_random_token_text(rng, k, length), k).letters
+        words.append(BraidWord(k, tuple(letters)))
+    forms = [garside_normal_form(w) for w in words]
+    monkeypatch.setattr(braids._Tables, "normalise", helpers.reference_normalise)
+    assert [garside_normal_form(w) for w in words] == forms
+
+
 # ---------------------------------------------------------------------------
 # text syntax
 
@@ -272,6 +315,24 @@ def test_parse_pure_word():
     for bad in ("s1", "a[1,x]"):
         with pytest.raises(BraidError):
             parse_pure_word(bad, 3)
+
+
+def test_word_expansion_is_bounded():
+    # each of these would allocate 10**12 letters or more without the check
+    for text in ("s1^1000000000000", "delta^-1000000000000", "s2 a[1,3]^1000000000000"):
+        with pytest.raises(BraidError, match="over the limit"):
+            parse_word(text, 3)
+    with pytest.raises(BraidError, match="over the limit"):
+        parse_pure_word("a[1,2]^-1000000000000", 3)
+    with pytest.raises(BraidError, match="over the limit"):
+        power(delta_word(3), 10**12)
+    with pytest.raises(BraidError, match="over the limit"):
+        spell_form(GarsideForm(3, -(10**12)))
+    # within the limit token by token, over it together
+    with pytest.raises(BraidError, match="over the limit"):
+        parse_word("s1^600000 s2^-600000", 3)
+    with pytest.raises(BraidError, match="over the limit"):
+        pure_word_to_braid(30, parse_pure_word("a[1,30]^20000", 30))
 
 
 def test_form_serialization():

@@ -183,6 +183,10 @@ def test_domain_errors_exit_1(capsys):
     code, _, err = run(capsys, "normalize", "--k", "3", "s9")
     assert code == 1
 
+    code, _, err = run(capsys, "normalize", "--k", "3", "s1^1000000000000")
+    assert code == 1
+    assert "over the limit" in err
+
     code, _, err = run(capsys, "equal", "--group", "integers", "x", "h")
     assert code == 1
 

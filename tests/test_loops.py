@@ -95,11 +95,20 @@ def test_coincident_frame_index_across_chunks():
         arr[bad, 2] = arr[bad, 1]
         arr[bad + 2, 0] = arr[bad + 2, 1]
         first = next(
-            t for t in range(len(arr)) if helpers.min_pairwise_distance(arr[t]) <= 1e-9 * 3
+            t for t in range(len(arr)) if helpers.min_pairwise_distance(arr[t], 3) <= 1e-9
         )
         assert first == bad
         with pytest.raises(LoopError, match=f"^frame {bad} has coincident points$"):
             ConfigLoop(3, 2, arr)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_distances_at_huge_coordinates_do_not_overflow():
+    # squaring raw differences near 1e200 overflows; the margin here is 1e191
+    with pytest.raises(LoopError, match="coincident points"):
+        _loop_from_points(2, 1, [[[1e200], [1e200 + 1e190]]] * 2)
+    assert _loop_from_points(2, 1, [[[1e200], [-1e200]]] * 2).num_frames == 2
+    assert _loop_from_points(2, 1, [[[1e308], [-1e308]]] * 2).num_frames == 2
 
 
 def test_loop_closes_as_a_point_set():
