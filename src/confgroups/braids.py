@@ -87,6 +87,12 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.strands < 1:
             raise BraidError("strand count must be positive")
+        if self.strands * (self.strands - 1) // 2 > _MAX_LETTERS:
+            # the half twist Delta_k must fit the letter budget: k <= 1414
+            raise BraidError(
+                f"{self.strands} strands: the half twist would have more than "
+                f"{_MAX_LETTERS} letters"
+            )
         for i, s in self.letters:
             if not 1 <= i <= self.strands - 1:
                 raise BraidError(f"generator index {i} out of range for {self.strands} strands")
@@ -409,6 +415,7 @@ def delta_word(k: int) -> BraidWord:
     """The half twist Delta_k as the staircase word (s1)(s2 s1)...(s(k-1)...s1)."""
     if k < 2:
         raise BraidError("the half twist needs at least 2 strands")
+    _check_letter_budget(k * (k - 1) // 2)
     letters = [(i, 1) for top in range(1, k) for i in range(top, 0, -1)]
     return BraidWord(k, tuple(letters))
 
@@ -431,6 +438,7 @@ def d_word(k: int) -> BraidWord:
     """The full twist D_k = a[1,2] (a[1,3] a[2,3]) ... (a[1,k] ... a[k-1,k])."""
     if k < 2:
         raise BraidError("the full twist needs at least 2 strands")
+    _check_letter_budget((k**3 - k) // 3)  # a[i,j] spells as 2(j-i) letters
     letters = [x for gen in pure_generator_order(k) for x in pure_generator(gen).letters]
     return BraidWord(k, tuple(letters))
 

@@ -20,16 +20,7 @@ class _UsageError(ValueError):
     """Bad option combination; reported with usage text and exit code 2."""
 
 
-_GROUP_NAMES = {
-    "trivial": "trivial",
-    "integers": "integers",
-    "sym": "symmetric",
-    "braid": "braid",
-    "pure": "pure_braid",
-    "braid-mod-delta2": "braid_mod_delta_sq",
-    "pure-mod-d": "pure_braid_mod_D",
-    "top": "central_ext_top",
-}
+_GROUP_NAMES = {family.cli_name: tag for tag, family in groups._FAMILIES.items()}
 
 
 def _emit(args: argparse.Namespace, human: str, obj: object) -> None:
@@ -41,40 +32,13 @@ def _emit(args: argparse.Namespace, human: str, obj: object) -> None:
 
 def _descriptor_from_args(args: argparse.Namespace) -> groups.GroupDescriptor:
     tag = _GROUP_NAMES[args.group]
-    if tag == "central_ext_top":
-        if args.n is None:
-            raise _UsageError("--group top needs --n")
-        return groups.descriptor_for(tag, args.n + 1)
-    if tag in ("trivial", "integers"):
+    if not groups._FAMILIES[tag].min_size:
         return groups.descriptor_for(tag)
-    if args.k is None:
-        raise _UsageError(f"--group {args.group} needs --k")
-    return groups.descriptor_for(tag, args.k)
-
-
-def _parse_integer_word(text: str) -> int:
-    total = 0
-    for token in text.split():
-        base, caret, exp_text = token.partition("^")
-        exp = int(exp_text) if caret else 1
-        if base == "h":
-            total += exp
-        elif base == "H":
-            total -= exp
-        else:
-            raise groups.AlphabetError(f"the infinite-cyclic group uses letters 'h', got {token!r}")
-    return total
-
-
-def _parse_group_word(d: groups.GroupDescriptor, text: str) -> object:
-    if d.tag == "trivial":
-        return None
-    if d.tag == "integers":
-        return _parse_integer_word(text)
-    if d.tag in ("pure_braid", "pure_braid_mod_D"):
-        return braids.parse_pure_word(text, d.parameter)
-    compound = d.tag != "central_ext_top"
-    return braids.parse_word(text, d.parameter, allow_compound=compound)
+    option = "n" if tag == "central_ext_top" else "k"
+    size = getattr(args, option)
+    if size is None:
+        raise _UsageError(f"--group {args.group} needs --{option}")
+    return groups.descriptor_for(tag, size + 1 if option == "n" else size)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +60,9 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 def _cmd_equal(args: argparse.Namespace) -> int:
     d = _descriptor_from_args(args)
-    u = _parse_group_word(d, args.word1)
-    v = _parse_group_word(d, args.word2)
+    parse = groups._FAMILIES[d.tag].parse
+    u = parse(args.word1, d.parameter)
+    v = parse(args.word2, d.parameter)
     verdict = groups.equal_in_group(d, u, v)
     _emit(
         args,

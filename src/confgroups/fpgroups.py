@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, TypeVar
+
+from .braids import _MAX_LETTERS
 
 Word = tuple[tuple[str, int], ...]
 
@@ -44,9 +46,10 @@ class Presentation:
                 raise PresentationError(
                     f"generator name {name!r} must start with a lowercase letter"
                 )
+        known = set(self.generators)
         for rel in self.relators:
             for name, sign in rel:
-                if name not in self.generators:
+                if name not in known:
                     raise PresentationError(f"relator letter {name!r} is not a generator")
                 if sign not in (1, -1):
                     raise PresentationError("letter sign must be +1 or -1")
@@ -117,24 +120,20 @@ def _pure_name(i: int, j: int) -> str:
     return f"a{i}_{j}"
 
 
-def _artin_relators(names: tuple[str, ...]) -> list[Word]:
-    rels: list[Word] = []
-    m = len(names)
-    for x in range(m):
-        for y in range(x + 1, m):
-            a, b = names[x], names[y]
+def _artin_relators(k: int) -> Iterator[Word]:
+    for x in range(1, k):
+        for y in range(x + 1, k):
+            a, b = f"s{x}", f"s{y}"
             if y - x >= 2:
-                rels.append(commutator_word(((a, 1),), ((b, 1),)))
+                yield commutator_word(((a, 1),), ((b, 1),))
             else:
-                rels.append(((a, 1), (b, 1), (a, 1), (b, -1), (a, -1), (b, -1)))
-    return rels
+                yield ((a, 1), (b, 1), (a, 1), (b, -1), (a, -1), (b, -1))
 
 
-def _yang_baxter_relators(k: int) -> list[Word]:
+def _yang_baxter_relators(k: int) -> Iterator[Word]:
     def gen(i: int, j: int, s: int = 1) -> Word:
         return ((_pure_name(i, j), s),)
 
-    rels: list[Word] = []
     # triple relators: the three cyclic products a_ij a_ik a_jk agree
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
@@ -142,8 +141,8 @@ def _yang_baxter_relators(k: int) -> list[Word]:
                 p1 = gen(i, j) + gen(i, kk) + gen(j, kk)
                 p2 = gen(i, kk) + gen(j, kk) + gen(i, j)
                 p3 = gen(j, kk) + gen(i, j) + gen(i, kk)
-                rels.append(p1 + inverse_word(p2))
-                rels.append(p2 + inverse_word(p3))
+                yield p1 + inverse_word(p2)
+                yield p2 + inverse_word(p3)
     # quadruple relators: four commutators per i < j < kk < l
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
@@ -153,50 +152,53 @@ def _yang_baxter_relators(k: int) -> list[Word]:
                     a_il, a_jk = gen(i, l), gen(j, kk)
                     a_jl = gen(j, l)
                     a_ik = gen(i, kk)
-                    rels.append(commutator_word(a_kl, a_ij))
-                    rels.append(commutator_word(a_il, a_jk))
-                    rels.append(commutator_word(a_jl, inverse_word(a_jk) + a_ik + a_jk))
-                    rels.append(commutator_word(a_jl, a_kl + a_ik + inverse_word(a_kl)))
-    return rels
+                    yield commutator_word(a_kl, a_ij)
+                    yield commutator_word(a_il, a_jk)
+                    yield commutator_word(a_jl, inverse_word(a_jk) + a_ik + a_jk)
+                    yield commutator_word(a_jl, a_kl + a_ik + inverse_word(a_kl))
 
 
-def _full_twist_word(k: int) -> Word:
-    return tuple((_pure_name(i, j), 1) for i, j in _pure_names(k))
-
-
-def _staircase_word(names: tuple[str, ...]) -> Word:
-    # (s1)(s2 s1)...(s(k-1) ... s1) over the given Artin-style names
-    k = len(names) + 1
-    return tuple((names[i - 1], 1) for top in range(1, k) for i in range(top, 0, -1))
+def _relators(name: str, k: int) -> Iterator[Word]:
+    """The relators of a builtin presentation, generated one at a time."""
+    if name in ("artin", "braid_mod_delta_sq", "unordered_top"):
+        yield from _artin_relators(k)
+    elif name in ("pure_braid", "pure_braid_mod_D"):
+        yield from _yang_baxter_relators(k)
+    else:
+        raise PresentationError(f"unknown presentation name {name!r}")
+    if name == "pure_braid_mod_D":  # the full twist
+        yield tuple((_pure_name(i, j), 1) for i, j in _pure_names(k))
+    if name == "braid_mod_delta_sq":  # the staircase Delta, twice
+        yield 2 * tuple((f"s{i}", 1) for top in range(1, k) for i in range(top, 0, -1))
+    if name == "unordered_top":  # s_i^2 = s_(i+1)^2
+        for i in range(1, k - 1):
+            yield ((f"s{i}", 1), (f"s{i}", 1), (f"s{i + 1}", -1), (f"s{i + 1}", -1))
 
 
 def builtin_presentation(name: str, size: int) -> Presentation:
     """Named presentations; size is the strand count (artin, pure_braid and
-    their quotients) or the point count n+1 (unordered_top)."""
+    their quotients) or the point count n+1 (unordered_top).
+
+    The relators may hold at most braids._MAX_LETTERS letters in all; the
+    count is kept while they are generated, so an oversized request raises
+    PresentationError before it is built (pure_braid allows size <= 32,
+    artin size <= 708)."""
     if size < 2:
         raise PresentationError(f"{name} needs size >= 2, got {size}")
-    if name == "artin":
-        names = _artin_names(size)
-        return Presentation(names, tuple(_artin_relators(names)))
-    if name == "pure_braid":
+    rels: list[Word] = []
+    letters = 0
+    for rel in _relators(name, size):
+        letters += len(rel)
+        if letters > _MAX_LETTERS:
+            raise PresentationError(
+                f"{name}:{size} has over {_MAX_LETTERS} relator letters"
+            )
+        rels.append(rel)
+    if name.startswith("pure"):
         gens = tuple(_pure_name(i, j) for i, j in _pure_names(size))
-        return Presentation(gens, tuple(_yang_baxter_relators(size)))
-    if name == "pure_braid_mod_D":
-        base = builtin_presentation("pure_braid", size)
-        return Presentation(base.generators, base.relators + (_full_twist_word(size),))
-    if name == "braid_mod_delta_sq":
-        base = builtin_presentation("artin", size)
-        delta = _staircase_word(base.generators)
-        return Presentation(base.generators, base.relators + (delta + delta,))
-    if name == "unordered_top":
-        base = builtin_presentation("artin", size)
-        names = base.generators
-        squares = tuple(
-            ((names[i], 1), (names[i], 1), (names[i + 1], -1), (names[i + 1], -1))
-            for i in range(len(names) - 1)
-        )
-        return Presentation(names, base.relators + squares)
-    raise PresentationError(f"unknown presentation name {name!r}")
+    else:
+        gens = _artin_names(size)
+    return Presentation(gens, tuple(rels))
 
 
 # ---------------------------------------------------------------------------

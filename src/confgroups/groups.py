@@ -18,27 +18,33 @@ but the letters mean the geometric generators exchanging the basepoint
 region with point i -- their symmetric-group images are the star
 transpositions (0 i), not adjacent ones.  sigma_prime(i, n) gives the
 change of generators that satisfies the Artin relations.
+
+Everything that differs between the tags lives in one _Family record per
+tag, in the _FAMILIES table at the end; every family's relators are those of
+fpgroups.builtin_presentation, spelled over the family's own alphabet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .braids import (
     BraidWord,
     GarsideForm,
     Permutation,
     PureGeneratorId,
-    delta_word,
-    equal_in_braid,
+    _check_letter_budget,
     exponent_sum,
     garside_normal_form,
     inverse,
     multiply,
+    parse_pure_word,
+    parse_word,
     permutation_image,
     pure_word_to_braid,
 )
-from .fpgroups import Word
+from .fpgroups import Word, _pure_names, builtin_presentation, inverse_word
 
 
 class GroupError(ValueError):
@@ -56,17 +62,6 @@ class AlphabetError(GroupError):
 ORDERED = "ordered"
 UNORDERED = "unordered"
 
-_TAGS = (
-    "trivial",
-    "integers",
-    "symmetric",
-    "pure_braid",
-    "braid",
-    "pure_braid_mod_D",
-    "braid_mod_delta_sq",
-    "central_ext_top",
-)
-
 
 @dataclass(frozen=True)
 class GroupDescriptor:
@@ -77,7 +72,7 @@ class GroupDescriptor:
     flavor: str
 
     def __post_init__(self) -> None:
-        if self.tag not in _TAGS:
+        if self.tag not in _FAMILIES:
             raise GroupError(f"unknown tag {self.tag!r}")
         if self.flavor not in (ORDERED, UNORDERED):
             raise GroupError(f"unknown flavor {self.flavor!r}")
@@ -90,18 +85,7 @@ class GroupDescriptor:
         return self.k
 
     def describe(self) -> str:
-        p = self.parameter
-        squares = "σ1²=σ2²" if p == 3 else f"σ1²=⋯=σ{p - 1}²"
-        return {
-            "trivial": "trivial",
-            "integers": "ℤ",
-            "symmetric": f"Σ_{p}",
-            "pure_braid": f"PB_{p}",
-            "braid": f"B_{p}",
-            "pure_braid_mod_D": f"PB_{p} / ⟨D⟩",
-            "braid_mod_delta_sq": f"B_{p} / ⟨Δ²⟩",
-            "central_ext_top": f"B_{p} / ⟨{squares}⟩",
-        }[self.tag]
+        return _FAMILIES[self.tag].name(self.parameter)
 
 
 def classify(k: int, i: int, n: int, flavor: str) -> GroupDescriptor:
@@ -133,47 +117,19 @@ def classify(k: int, i: int, n: int, flavor: str) -> GroupDescriptor:
 def descriptor_for(tag: str, parameter: int = 0) -> GroupDescriptor:
     """A descriptor for the named group with a representative (k, i, n);
     parameter is the strand count (braid family) or point count (top case)."""
-    if tag in ("braid", "pure_braid", "braid_mod_delta_sq", "pure_braid_mod_D", "symmetric"):
-        if parameter < 2:
-            raise GroupError(f"{tag} needs a strand count of at least 2")
-    if tag == "trivial":
-        return GroupDescriptor("trivial", 1, 0, 1, ORDERED)
-    if tag == "integers":
-        return GroupDescriptor("integers", 3, 2, 2, ORDERED)
-    if tag == "symmetric":
-        return GroupDescriptor("symmetric", parameter, 2, 2, UNORDERED)
-    if tag == "pure_braid":
-        return GroupDescriptor("pure_braid", parameter, 1, 1, ORDERED)
-    if tag == "braid":
-        return GroupDescriptor("braid", parameter, 1, 1, UNORDERED)
-    if tag == "pure_braid_mod_D":
-        return GroupDescriptor("pure_braid_mod_D", parameter, 1, 2, ORDERED)
-    if tag == "braid_mod_delta_sq":
-        return GroupDescriptor("braid_mod_delta_sq", parameter, 1, 2, UNORDERED)
-    if tag == "central_ext_top":
-        if parameter < 3:
-            raise GroupError("the top unordered case needs n >= 2, i.e. at least 3 points")
-        n = parameter - 1
-        return GroupDescriptor("central_ext_top", parameter, n, n, UNORDERED)
-    raise GroupError(f"unknown tag {tag!r}")
+    family = _FAMILIES.get(tag)
+    if family is None:
+        raise GroupError(f"unknown tag {tag!r}")
+    if family.min_size and parameter < family.min_size:
+        raise GroupError(family.too_small.format(tag=tag))
+    return GroupDescriptor(tag, *family.representative(parameter), family.flavor)
 
 
 def case_statement(d: GroupDescriptor) -> str:
     """The classification identity this descriptor instantiates."""
     space = "F" if d.flavor == ORDERED else "C"
     stratum = f"{space}_k^(i,n) with (k,i,n)=({d.k},{d.i},{d.n})"
-    return {
-        "trivial": f"pi_1({stratum}) = 1 (simply connected off the loci i=1 and i=n=k-1)",
-        "integers": f"pi_1({stratum}) = Z (top stratum of k=n+1 ordered points)",
-        "symmetric": f"pi_1({stratum}) = Sigma_k (off the loci i=1 and i=n=k-1)",
-        "pure_braid": f"pi_1({stratum}) = PB_k (points on a line in C)",
-        "braid": f"pi_1({stratum}) = B_k (points on a line in C)",
-        "pure_braid_mod_D": f"pi_1({stratum}) = PB_k/<D_k> (collinear points, n > 1)",
-        "braid_mod_delta_sq": f"pi_1({stratum}) = B_k/<Delta_k^2> (collinear points, n > 1)",
-        "central_ext_top": (
-            f"pi_1({stratum}) = B_(n+1)/<s_1^2=...=s_n^2>, a central Z-extension of Sigma_(n+1)"
-        ),
-    }[d.tag]
+    return f"pi_1({stratum}) = {_FAMILIES[d.tag].anchor}"
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +176,10 @@ def _star_image(w: BraidWord) -> Permutation:
     return p
 
 
-def _centered_mod_delta_sq(form: GarsideForm) -> GarsideForm:
-    # Delta^2 is central, so the coset representative just reduces the Delta
-    # power into {0, 1}; the factors are untouched.
-    return GarsideForm(form.strands, form.delta_power & 1, form.factors)
+def _require_integer(d: GroupDescriptor, w: object) -> int:
+    if not isinstance(w, int):
+        raise AlphabetError("the infinite-cyclic group expects an integer exponent")
+    return w
 
 
 def _require_braid_word(d: GroupDescriptor, w: object) -> BraidWord:
@@ -249,71 +205,73 @@ def _require_pure_word(d: GroupDescriptor, w: object) -> BraidWord:
     return pure_word_to_braid(d.parameter, letters)
 
 
+def _s_image(d: GroupDescriptor, w: object) -> Permutation:
+    return permutation_image(_require_braid_word(d, w))
+
+
+def _top_element(d: GroupDescriptor, w: object) -> CentralExtElement:
+    word = _require_braid_word(d, w)
+    perm = _star_image(word)
+    twist2 = exponent_sum(word) - perm.inversions()
+    if twist2 & 1:
+        raise GroupError("exponent sum and image length disagree in parity")
+    return CentralExtElement(d.parameter, twist2 // 2, perm)
+
+
+def _garside(convert: Callable[[GroupDescriptor, object], BraidWord], kill_delta_sq: bool):
+    """The canonical form and the equality test of a braid-family tag: the
+    Garside normal form of the converted word, whose Delta power is reduced
+    mod 2 when the central Delta^2 is killed (the factors are untouched).
+    Equality takes one normal form, of u v^-1."""
+
+    def canonical(d: GroupDescriptor, w: object) -> GarsideForm:
+        form = garside_normal_form(convert(d, w))
+        if kill_delta_sq:
+            return GarsideForm(form.strands, form.delta_power & 1, form.factors)
+        return form
+
+    def equal(d: GroupDescriptor, u: object, v: object) -> bool:
+        form = garside_normal_form(multiply(convert(d, u), inverse(convert(d, v))))
+        delta_power = form.delta_power & 1 if kill_delta_sq else form.delta_power
+        return delta_power == 0 and not form.factors
+
+    return canonical, equal
+
+
 def element_from_word(d: GroupDescriptor, w: object) -> GroupElement:
     """Canonical payload for the word: see the module docstring per tag."""
-    if d.tag == "trivial":
-        return GroupElement(d, None)
-    if d.tag == "integers":
-        if not isinstance(w, int):
-            raise AlphabetError("the infinite-cyclic group expects an integer exponent")
-        return GroupElement(d, w)
-    if d.tag == "symmetric":
-        return GroupElement(d, permutation_image(_require_braid_word(d, w)))
-    if d.tag == "braid":
-        return GroupElement(d, garside_normal_form(_require_braid_word(d, w)))
-    if d.tag == "braid_mod_delta_sq":
-        form = garside_normal_form(_require_braid_word(d, w))
-        return GroupElement(d, _centered_mod_delta_sq(form))
-    if d.tag == "pure_braid":
-        return GroupElement(d, garside_normal_form(_require_pure_word(d, w)))
-    if d.tag == "pure_braid_mod_D":
-        form = garside_normal_form(_require_pure_word(d, w))
-        return GroupElement(d, _centered_mod_delta_sq(form))
-    if d.tag == "central_ext_top":
-        word = _require_braid_word(d, w)
-        perm = _star_image(word)
-        exp = exponent_sum(word)
-        twist2 = exp - perm.inversions()
-        if twist2 & 1:
-            raise GroupError("exponent sum and image length disagree in parity")
-        return GroupElement(d, CentralExtElement(d.parameter, twist2 // 2, perm))
-    raise GroupError(f"unknown tag {d.tag!r}")
+    return GroupElement(d, _FAMILIES[d.tag].canonical(d, w))
 
 
 def equal_in_group(d: GroupDescriptor, u: object, v: object) -> bool:
     """Word problem for the classified group."""
-    if d.tag == "trivial":
-        return True
-    if d.tag == "integers":
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise AlphabetError("the infinite-cyclic group expects integer exponents")
-        return u == v
-    if d.tag == "symmetric":
-        return permutation_image(_require_braid_word(d, u)) == permutation_image(
-            _require_braid_word(d, v)
-        )
-    if d.tag == "braid":
-        return equal_in_braid(_require_braid_word(d, u), _require_braid_word(d, v))
-    if d.tag == "pure_braid":
-        return equal_in_braid(_require_pure_word(d, u), _require_pure_word(d, v))
-    if d.tag in ("braid_mod_delta_sq", "pure_braid_mod_D"):
-        convert = _require_braid_word if d.tag == "braid_mod_delta_sq" else _require_pure_word
-        quotient = garside_normal_form(multiply(convert(d, u), inverse(convert(d, v))))
-        return quotient.delta_power % 2 == 0 and not quotient.factors
-    if d.tag == "central_ext_top":
-        return element_from_word(d, u).payload == element_from_word(d, v).payload
-    raise GroupError(f"unknown tag {d.tag!r}")
+    family = _FAMILIES[d.tag]
+    if family.equal is None:
+        return family.canonical(d, u) == family.canonical(d, v)
+    return family.equal(d, u, v)
 
 
 def tau(d: GroupDescriptor, w: object) -> Permutation:
     """Projection to the symmetric group (unordered flavors only)."""
-    if d.flavor != UNORDERED:
+    image = _FAMILIES[d.tag].tau
+    if d.flavor != UNORDERED or image is None:
         raise GroupError("tau is defined for unordered groups only")
-    if d.tag == "central_ext_top":
-        return _star_image(_require_braid_word(d, w))
-    if d.tag in ("symmetric", "braid", "braid_mod_delta_sq"):
-        return permutation_image(_require_braid_word(d, w))
-    raise GroupError(f"tau is not defined for tag {d.tag!r}")
+    return image(d, w)
+
+
+def _parse_integer_word(text: str) -> int:
+    """The exponent of a word in the generator h of the integers: "h^3 H"."""
+    total = 0
+    for token in text.split():
+        base, caret, exp_text = token.partition("^")
+        exp = int(exp_text) if caret else 1
+        if base == "h":
+            total += exp
+        elif base == "H":
+            total -= exp
+        else:
+            raise AlphabetError(f"the infinite-cyclic group uses letters 'h', got {token!r}")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -356,93 +314,129 @@ def central_element(n: int) -> BraidWord:
     return BraidWord(n + 1, ((1, 1), (1, 1)))
 
 
-def central_ext_relators(n: int) -> list[BraidWord]:
-    """Defining relators of the top group over the geometric alphabet:
-    braid-like triples for every pair i != j, plus square identifications."""
-    rels: list[BraidWord] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            a, b = (i, 1), (j, 1)
-            ai, bi = (i, -1), (j, -1)
-            rels.append(BraidWord(n + 1, (a, b, a, bi, ai, bi)))
-    for i in range(1, n):
-        rels.append(BraidWord(n + 1, ((i, 1), (i, 1), (i + 1, -1), (i + 1, -1))))
-    return rels
+# ---------------------------------------------------------------------------
+# relators
+
+
+def _relators(name: str, size: int, *, squares: bool = False, top: bool = False) -> list:
+    """The relators of builtin_presentation(name, size), plus the square of
+    each generator when asked, over a group's own alphabet: s_i is (i, 1), or
+    sigma_prime(i, size - 1) in the top group; a{i}_{j} is a[i,j]."""
+    pres = builtin_presentation(name, size)
+    pure = name.startswith("pure")  # the a{i}_{j} alphabet, spelled as pure words
+    if pure:
+        images = [((PureGeneratorId(i, j, size), 1),) for i, j in _pure_names(size)]
+    else:
+        images = [sigma_prime(i, size - 1).letters if top else ((i, 1),) for i in range(1, size)]
+    image = {}
+    for g, letters in zip(pres.generators, images):
+        image[g, 1], image[g, -1] = letters, inverse_word(letters)
+    rels = pres.relators + tuple(((g, 1), (g, 1)) for g in pres.generators if squares)
+    _check_letter_budget(sum(len(image[letter]) for rel in rels for letter in rel))
+    words = [tuple(x for letter in rel for x in image[letter]) for rel in rels]
+    return words if pure else [BraidWord(size, w) for w in words]
 
 
 def descriptor_relators(d: GroupDescriptor) -> list[object]:
     """Defining relators over the descriptor's own alphabet, for congruence
-    testing: braid-style tags get Artin relators (plus the killed center where
-    applicable), pure tags get the Yang-Baxter relators (plus the full twist),
-    the top tag its geometric relators."""
-    k = d.parameter
-    if d.tag in ("braid", "braid_mod_delta_sq", "symmetric"):
-        rels: list[object] = []
-        for i in range(1, k - 1):
-            for j in range(i + 2, k):
-                rels.append(BraidWord(k, ((i, 1), (j, 1), (i, -1), (j, -1))))
-        for i in range(1, k - 1):
-            rels.append(
-                BraidWord(k, ((i, 1), (i + 1, 1), (i, 1), (i + 1, -1), (i, -1), (i + 1, -1)))
-            )
-        if d.tag == "braid_mod_delta_sq":
-            dd = delta_word(k)
-            rels.append(multiply(dd, dd))
-        if d.tag == "symmetric":
-            rels += [BraidWord(k, ((i, 1), (i, 1))) for i in range(1, k)]
-        return rels
-    if d.tag in ("pure_braid", "pure_braid_mod_D"):
-        out: list[object] = []
+    testing: those of the tag's builtin presentation (Artin relators, plus
+    every s_i^2 for the symmetric group; Yang-Baxter relators for pure tags),
+    the top tag's in the geometric alphabet; [0] for the integers."""
+    return _FAMILIES[d.tag].relators(d.parameter)
 
-        def gen(i: int, j: int, s: int = 1) -> tuple:
-            return ((PureGeneratorId(i, j, k), s),)
 
-        def inv(word: tuple) -> tuple:
-            return tuple((g, -s) for g, s in reversed(word))
-
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                for kk in range(j + 1, k + 1):
-                    p1 = gen(i, j) + gen(i, kk) + gen(j, kk)
-                    p2 = gen(i, kk) + gen(j, kk) + gen(i, j)
-                    p3 = gen(j, kk) + gen(i, j) + gen(i, kk)
-                    out.append(p1 + inv(p2))
-                    out.append(p2 + inv(p3))
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                for kk in range(j + 1, k + 1):
-                    for l in range(kk + 1, k + 1):
-                        a_kl, a_ij = gen(kk, l), gen(i, j)
-                        a_il, a_jk = gen(i, l), gen(j, kk)
-                        a_jl, a_ik = gen(j, l), gen(i, kk)
-                        for x, y in (
-                            (a_kl, a_ij),
-                            (a_il, a_jk),
-                            (a_jl, inv(a_jk) + a_ik + a_jk),
-                            (a_jl, a_kl + a_ik + inv(a_kl)),
-                        ):
-                            out.append(x + y + inv(x) + inv(y))
-        if d.tag == "pure_braid_mod_D":
-            out.append(
-                tuple(
-                    (PureGeneratorId(i, j, k), 1)
-                    for j in range(2, k + 1)
-                    for i in range(1, j)
-                )
-            )
-        return out
-    if d.tag == "central_ext_top":
-        return list(central_ext_relators(d.parameter - 1))
-    if d.tag == "integers":
-        return [0]
-    return []
+def central_ext_relators(n: int) -> list[BraidWord]:
+    """Defining relators of the top group on n+1 points, n >= 1, over the
+    geometric alphabet: the unordered_top relators (Artin relators and
+    s_i^2 = s_(i+1)^2) with each s_i spelled as sigma_prime(i, n)."""
+    return _FAMILIES["central_ext_top"].relators(n + 1)
 
 
 def identity_word(d: GroupDescriptor) -> object:
-    if d.tag == "integers":
-        return 0
-    if d.tag == "trivial":
-        return None
-    if d.tag in ("pure_braid", "pure_braid_mod_D"):
-        return ()
-    return BraidWord(d.parameter)
+    return _FAMILIES[d.tag].identity(d.parameter)
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything that differs between group tags; p is the parameter."""
+
+    cli_name: str  # what `confgroups equal --group` takes
+    flavor: str
+    min_size: int  # smallest p; 0 when the group has no size
+    too_small: str  # the error below min_size, formatted with the tag
+    representative: Callable[[int], tuple[int, int, int]]  # p -> (k, i, n)
+    name: Callable[[int], str]  # p -> describe()
+    anchor: str  # the right-hand side of case_statement
+    parse: Callable[[str, int], object]  # (text, p) -> word
+    canonical: Callable[[GroupDescriptor, object], object]
+    equal: Callable[[GroupDescriptor, object, object], bool] | None  # None: compare canonicals
+    tau: Callable[[GroupDescriptor, object], Permutation] | None
+    identity: Callable[[int], object]  # p -> the empty word
+    relators: Callable[[int], list]
+
+
+def _top_name(p: int) -> str:
+    squares = "σ1²=σ2²" if p == 3 else f"σ1²=⋯=σ{p - 1}²"
+    return f"B_{p} / ⟨{squares}⟩"
+
+
+_STRANDS = "{tag} needs a strand count of at least 2"
+
+# One row per tag, one line per group of fields: sizes, names, word problem
+# (parse, canonical, equal, tau), identity word and relators.
+_FAMILIES: dict[str, _Family] = {
+    "trivial": _Family(
+        "trivial", ORDERED, 0, "", lambda p: (1, 0, 1),
+        lambda p: "trivial", "1 (simply connected off the loci i=1 and i=n=k-1)",
+        lambda text, p: None, lambda d, w: None, None, None,
+        lambda p: None, lambda p: [],
+    ),
+    "integers": _Family(
+        "integers", ORDERED, 0, "", lambda p: (3, 2, 2),
+        lambda p: "ℤ", "Z (top stratum of k=n+1 ordered points)",
+        lambda text, p: _parse_integer_word(text), _require_integer, None, None,
+        lambda p: 0, lambda p: [0],
+    ),
+    "symmetric": _Family(
+        "sym", UNORDERED, 2, _STRANDS, lambda p: (p, 2, 2),
+        lambda p: f"Σ_{p}", "Sigma_k (off the loci i=1 and i=n=k-1)",
+        parse_word, _s_image, None, _s_image,
+        BraidWord, lambda p: _relators("artin", p, squares=True),
+    ),
+    "pure_braid": _Family(
+        "pure", ORDERED, 2, _STRANDS, lambda p: (p, 1, 1),
+        lambda p: f"PB_{p}", "PB_k (points on a line in C)",
+        parse_pure_word, *_garside(_require_pure_word, False), None,
+        lambda p: (), lambda p: _relators("pure_braid", p),
+    ),
+    "braid": _Family(
+        "braid", UNORDERED, 2, _STRANDS, lambda p: (p, 1, 1),
+        lambda p: f"B_{p}", "B_k (points on a line in C)",
+        parse_word, *_garside(_require_braid_word, False), _s_image,
+        BraidWord, lambda p: _relators("artin", p),
+    ),
+    "pure_braid_mod_D": _Family(
+        "pure-mod-d", ORDERED, 2, _STRANDS, lambda p: (p, 1, 2),
+        lambda p: f"PB_{p} / ⟨D⟩", "PB_k/<D_k> (collinear points, n > 1)",
+        parse_pure_word, *_garside(_require_pure_word, True), None,
+        lambda p: (), lambda p: _relators("pure_braid_mod_D", p),
+    ),
+    "braid_mod_delta_sq": _Family(
+        "braid-mod-delta2", UNORDERED, 2, _STRANDS, lambda p: (p, 1, 2),
+        lambda p: f"B_{p} / ⟨Δ²⟩", "B_k/<Delta_k^2> (collinear points, n > 1)",
+        parse_word, *_garside(_require_braid_word, True), _s_image,
+        BraidWord, lambda p: _relators("braid_mod_delta_sq", p),
+    ),
+    "central_ext_top": _Family(
+        "top", UNORDERED, 3, "the top unordered case needs n >= 2, i.e. at least 3 points",
+        lambda p: (p, p - 1, p - 1),
+        _top_name, "B_(n+1)/<s_1^2=...=s_n^2>, a central Z-extension of Sigma_(n+1)",
+        lambda text, p: parse_word(text, p, allow_compound=False), _top_element, None,
+        lambda d, w: _star_image(_require_braid_word(d, w)),
+        BraidWord, lambda p: _relators("unordered_top", p, top=True),
+    ),
+}

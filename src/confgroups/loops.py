@@ -264,25 +264,37 @@ def loop_from_json_obj(obj: dict) -> ConfigLoop:
 # braid extraction
 
 
-def _project_to_line(loop: ConfigLoop, line_tol: float) -> np.ndarray:
+def _unit(frames: np.ndarray) -> float:
+    """The least power of two above every coordinate modulus, at least 1 and
+    at most 2^1023.  Coordinates divided by it stay below 2, so their products
+    cannot overflow, and the division is exact, so a computation in these
+    units makes the same decisions, bit for bit, as one in the raw
+    coordinates wherever that one does not overflow."""
+    return 2.0 ** min(max(0, math.frexp(float(np.max(np.abs(frames))))[1]), 1023)
+
+
+def _project_to_line(loop: ConfigLoop, line_tol: float) -> tuple[np.ndarray, float]:
     """Affine coordinates of every point on the single complex line carrying
-    the whole loop; error if any frame leaves that line."""
+    the whole loop, in units of _unit(loop.frames), and that unit; error if
+    any frame leaves that line."""
+    unit = _unit(loop.frames)
     if loop.n == 1:
-        return loop.frames[:, :, 0]
-    base = loop.frames[0, 0]
-    direction = loop.frames[0, 1] - base
+        return loop.frames[:, :, 0] / unit, unit
+    base = loop.frames[0, 0] / unit
+    direction = loop.frames[0, 1] / unit - base
     norm = float(np.sqrt(np.sum(np.abs(direction) ** 2)))
     direction = direction / norm
-    rel = loop.frames - base
+    rel = loop.frames / unit
+    rel -= base
     coeffs = rel @ np.conj(direction)
     resid = rel - coeffs[..., None] * direction
-    scale = max(1.0, float(np.max(np.abs(rel))))
+    scale = max(1.0 / unit, float(np.max(np.abs(rel))))
     worst = float(np.max(np.abs(resid)))
     if worst > line_tol * scale:
         raise LoopError(
-            f"frames are not collinear on a common line (residual {worst:.3e})"
+            f"frames are not collinear on a common line (residual {worst * unit:.3e})"
         )
-    return coeffs
+    return coeffs, unit
 
 
 def _real_ties(z: np.ndarray, margin: float) -> np.ndarray:
@@ -410,9 +422,8 @@ def extract_braid(
     on one common complex line)."""
     if loop.k == 1:
         return BraidWord(1)
-    zf = _project_to_line(loop, line_tol)
-    scale = max(1.0, float(np.max(np.abs(zf))))
-    margin = tie_margin * scale
+    zf, unit = _project_to_line(loop, line_tol)
+    margin = tie_margin * max(1.0 / unit, float(np.max(np.abs(zf))))
     eff = _resolve_frame_ties(zf, margin)
     # a crossing reverses a pair's real-part order, which changes the sort order
     order = np.argsort(eff.real, axis=1, kind="stable")
@@ -427,14 +438,15 @@ def extract_braid(
 # determinant winding
 
 
-def _dets_and_floors(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dets_and_floors(frames: np.ndarray, unit: float) -> tuple[np.ndarray, np.ndarray]:
     """Every frame's determinant det[x_1 - x_0, ..., x_n - x_0] and the floor
     below which it counts as zero: _DET_FLOOR times the Hadamard bound, at
-    least _DET_FLOOR."""
-    diffs = frames[:, 1:] - frames[:, :1]
+    least _DET_FLOOR.  Both are in units of unit^n (unit from _unit)."""
+    diffs = frames[:, 1:] / unit
+    diffs -= frames[:, :1] / unit
     norms = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=2))
-    hadamard = np.prod(np.maximum(norms, 1e-300), axis=1)
-    return np.linalg.det(diffs), _DET_FLOOR * np.maximum(1.0, hadamard)
+    hadamard = np.prod(np.maximum(norms, 1e-300 / unit), axis=1)
+    return np.linalg.det(diffs), _DET_FLOOR * np.maximum(unit ** -diffs.shape[1], hadamard)
 
 
 def det_winding(loop: ConfigLoop, *, tol: float = _SPAN_TOL, refine_budget: int = 1024) -> int:
@@ -452,7 +464,8 @@ def det_winding(loop: ConfigLoop, *, tol: float = _SPAN_TOL, refine_budget: int 
     low = np.flatnonzero(_span_dimensions(_span_singular_values(frames), tol) != loop.n)
     if low.size:
         raise DegenerateSpanError(f"frame {low[0]} does not span dimension {loop.n}")
-    dets, floors = _dets_and_floors(frames)
+    unit = _unit(frames)
+    dets, floors = _dets_and_floors(frames, unit)
     # hypot rounds like abs() of a Python complex, which the refinement uses
     small = np.flatnonzero(np.hypot(dets.real, dets.imag) < floors)
     if small.size:
@@ -467,7 +480,7 @@ def det_winding(loop: ConfigLoop, *, tol: float = _SPAN_TOL, refine_budget: int 
             raise LoopError("refinement budget exceeded while tracking the determinant")
         budget[0] -= 1
         mid = (a + b) / 2
-        det_m, floor_m = _dets_and_floors(mid[None])
+        det_m, floor_m = _dets_and_floors(mid[None], unit)
         det_m = complex(det_m[0])
         if abs(det_m) < floor_m[0]:
             raise DegenerateSpanError(

@@ -272,8 +272,8 @@ def reference_extract_braid(loop, *, tie_margin=_TIE_MARGIN, line_tol=_LINE_TOL,
 
     if loop.k == 1:
         return BraidWord(1)
-    zf = _project_to_line(loop, line_tol)
-    margin = tie_margin * max(1.0, float(np.max(np.abs(zf))))
+    zf, unit = _project_to_line(loop, line_tol)
+    margin = tie_margin * max(1.0 / unit, float(np.max(np.abs(zf))))
     eff = []
     for t in range(zf.shape[0]):
         frame = zf[t]

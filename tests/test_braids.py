@@ -335,6 +335,20 @@ def test_word_expansion_is_bounded():
         pure_word_to_braid(30, parse_pure_word("a[1,30]^20000", 30))
 
 
+def test_strand_count_is_bounded():
+    # Delta_k has k(k-1)/2 letters, so k <= 1414 fits the letter budget; a
+    # larger strand count would allocate permutation tables of k^2 entries
+    assert parse_word("s1", 1414).strands == 1414
+    for make in (lambda: parse_word("s1", 10**6), lambda: BraidWord(1415), lambda: BraidWord(10**9)):
+        with pytest.raises(BraidError, match="half twist"):
+            make()
+    with pytest.raises(BraidError, match="over the limit"):
+        parse_word("delta", 10**6)  # refused before the staircase is built
+    with pytest.raises(BraidError, match="over the limit"):
+        d_word(200)  # (k^3 - k)/3 = 2666600 letters
+    assert len(d_word(144)) == (144**3 - 144) // 3
+
+
 def test_form_serialization():
     assert format_form(garside_normal_form(BraidWord(3))) == "Δ^0"
     assert format_form(garside_normal_form(delta_word(4))) == "Δ^1"

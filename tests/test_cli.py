@@ -1,6 +1,9 @@
 """Command-line interface: output text, JSON mode, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +108,27 @@ def test_equal_integers_letters(capsys):
     assert out.startswith("false")
 
 
+def test_readme_cli_tour_is_what_the_cli_prints(capsys):
+    # every `$ confgroups ...` command of the README's console block, followed
+    # by the lines it prints
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    chunks = re.search(r"```console\n(.*?)```", text, re.S).group(1).strip().split("\n\n")
+    assert len(chunks) == 9
+    for chunk in chunks:
+        command, *expected = chunk.splitlines()
+        assert command.startswith("$ confgroups "), command
+        argv = shlex.split(command)[2:]
+        code, out, _ = run(capsys, *argv)
+        lines = out.splitlines()
+        assert code == 0, argv
+        if "..." in expected:  # the lines around the elision, e.g. verify-paper's
+            cut = expected.index("...")
+            head, tail = expected[:cut], expected[cut + 1 :]
+            assert lines[: len(head)] == head and lines[len(lines) - len(tail) :] == tail, argv
+        else:
+            assert lines == expected, argv
+
+
 def test_verify_paper_passes(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 0
@@ -195,3 +219,15 @@ def test_domain_errors_exit_1(capsys):
 
     code, _, err = run(capsys, "analyze-loop", "--generate", "gamma:k=1", "--extract-braid")
     assert code == 1
+
+    # sizes whose half twist or relators exceed the letter budget are refused
+    code, _, err = run(capsys, "normalize", "--k", "1000000", "s1")
+    assert code == 1
+    assert "half twist" in err
+
+    code, _, err = run(capsys, "equal", "--group", "top", "--n", "100000", "s1", "s1")
+    assert code == 1
+
+    code, _, err = run(capsys, "abelianize", "--presentation", "pure_braid:10000")
+    assert code == 1
+    assert "relator letters" in err

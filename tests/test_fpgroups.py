@@ -116,6 +116,10 @@ def test_builtin_errors():
         builtin_presentation("artin", 1)
     with pytest.raises(PresentationError):
         builtin_presentation("nonsense", 3)
+    # over the relator letter budget: pure_braid:k has about k^4 letters
+    for name in ("pure_braid", "artin"):
+        with pytest.raises(PresentationError, match="relator letters"):
+            builtin_presentation(name, 10**4)
 
 
 # ---------------------------------------------------------------------------

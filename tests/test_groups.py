@@ -1,11 +1,13 @@
 """Classification of the configuration-space groups and their word problems."""
 
+import math
 import random
 
 import pytest
 
 import helpers
 from confgroups.braids import (
+    BraidError,
     BraidWord,
     Permutation,
     PureGeneratorId,
@@ -16,7 +18,7 @@ from confgroups.braids import (
     parse_word,
     power,
 )
-from confgroups.fpgroups import builtin_presentation, todd_coxeter
+from confgroups.fpgroups import Presentation, PresentationError, builtin_presentation, todd_coxeter
 from confgroups.groups import (
     ORDERED,
     UNORDERED,
@@ -325,6 +327,38 @@ def test_identity_words():
             if tag == "integers":
                 continue
             assert equal_in_group(d, w, rel_as_word)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_symmetric_relators_define_the_symmetric_group(k):
+    rels = descriptor_relators(descriptor_for("symmetric", k))
+    gens = tuple(f"s{i}" for i in range(1, k))
+    pres = Presentation(gens, tuple(tuple((f"s{i}", s) for i, s in r.letters) for r in rels))
+    table = todd_coxeter(pres)
+    assert table.status == "complete" and table.num_cosets == math.factorial(k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_top_relators_define_the_top_group(n):
+    # read back over the Artin-like alphabet, the relators must present the
+    # group whose quotient by <T^m> has order m (n+1)!; the braid-like triples
+    # over the geometric letters present an infinite group from n = 3 on
+    rels = descriptor_relators(descriptor_for("central_ext_top", n + 1))
+    assert central_ext_relators(n) == rels
+    gens = tuple(f"s{i}" for i in range(1, n + 1))
+    pres = Presentation(gens, tuple(geometric_to_artin_word(r) for r in rels))
+    for m in (1, 2):
+        table = todd_coxeter(pres, (geometric_to_artin_word(power(central_element(n), m)),))
+        assert table.status == "complete" and table.num_cosets == m * math.factorial(n + 1)
+
+
+def test_relators_are_bounded():
+    with pytest.raises(PresentationError, match="relator letters"):
+        descriptor_relators(descriptor_for("pure_braid", 10**4))
+    # unordered_top:80 has 12792 letters, spelled with sigma_prime 1010568
+    assert len(descriptor_relators(descriptor_for("central_ext_top", 79))) == 3080
+    with pytest.raises(BraidError, match="over the limit"):
+        descriptor_relators(descriptor_for("central_ext_top", 80))
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,18 @@ def test_distances_at_huge_coordinates_do_not_overflow():
     assert _loop_from_points(2, 1, [[[1e308], [-1e308]]] * 2).num_frames == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("factor", [1e200, 2.0**600])
+def test_invariants_at_huge_coordinates_do_not_overflow(factor):
+    # squares, products and n x n determinants of raw coordinates near 1e200
+    # overflow; the invariants are measured in units of a power of two
+    gamma = make_gamma_loop(3, 200)
+    word = extract_braid(ConfigLoop(3, 2, gamma.frames * factor))
+    assert str(word) == "s1 s2 s1 s1 s2 s1" == str(extract_braid(gamma))
+    h = make_h_loop(2, 64)
+    assert det_winding(ConfigLoop(3, 2, h.frames * factor)) == 1 == det_winding(h)
+
+
 def test_loop_closes_as_a_point_set():
     # a half-turn swap is closed only up to relabeling; still a valid loop
     loop = _half_turn()
