@@ -17,12 +17,19 @@ Conventions, fixed once and used everywhere:
 * word text syntax is whitespace-separated tokens "s1 s2^-1 a[1,3] delta^2"
   where a[i,j] expands to the standard pure-braid generator word and delta to
   the staircase.
+
+The kernel is a handful of pure functions on 0-indexed permutation tuples,
+each standing for the positive permutation braid A(p).  A word becomes one
+raw factor per letter (s_i^-1 as Delta^-1 times a complement, the Delta's
+pushed to the front); _normalise combs the factors left-weighted with
+_renorm, which moves letters across one pair, and _reduced_word spells a
+factor back.  _renorm's bounded LRU cache is the only memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 
 class BraidError(ValueError):
@@ -134,17 +141,19 @@ class GarsideForm:
     factors: tuple[Permutation, ...] = ()
 
     def __post_init__(self) -> None:
-        tables = _tables(self.strands)
+        k = self.strands
+        trivial = (tuple(range(k)), tuple(range(k - 1, -1, -1)))
         lowered = []
         for f in self.factors:
-            if f.size != self.strands:
+            if f.size != k:
                 raise BraidError("factor size differs from strand count")
             low = _lower(f)
-            if low == tables.identity or low == tables.half_twist:
+            if low in trivial:
                 raise BraidError("factors may not contain the identity or the half twist")
             lowered.append(low)
-        for t in range(len(lowered) - 1):
-            if tables.starts(lowered[t + 1]) & ~tables.finishes(lowered[t]):
+        for x, y in zip(lowered, lowered[1:]):
+            # left-weighted: every letter that starts y finishes x
+            if _renorm(x, y)[0] != x:
                 raise BraidError("factor sequence is not left-weighted")
 
     def is_identity(self) -> bool:
@@ -161,12 +170,7 @@ class GarsideForm:
 # permutation kernel: raw 0-indexed tuples, composition left to right
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # (a then b)(x) = b(a(x))
-    return tuple(b[x] for x in a)
-
-
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
+def _invert(p) -> tuple[int, ...]:
     out = [0] * len(p)
     for x, v in enumerate(p):
         out[v] = x
@@ -181,124 +185,78 @@ def _lift(p: tuple[int, ...], size: int) -> Permutation:
     return Permutation(size, tuple(v + 1 for v in p))
 
 
-class _Tables:
-    """Per-strand-count caches backing the normal-form computations.
+def _swap(i: int, k: int) -> tuple[int, ...]:
+    """The generator s_i (1-indexed) on k strands."""
+    return tuple(range(i - 1)) + (i, i - 1) + tuple(range(i + 1, k))
 
-    Pair renormalisation results are memoised on demand rather than
-    precomputed, so the cost is proportional to the pairs a workload actually
-    touches (the full table would be (k!)^2 entries).
+
+@lru_cache(maxsize=1 << 16)
+def _renorm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Left-weight the pair by moving starting letters of q into p.
+
+    s(i+1) starts A(q) iff q[i] > q[i+1], and finishes A(p) iff
+    p^-1[i] > p^-1[i+1].  Moving it (p <- p s(i+1), q <- s(i+1) q) swaps
+    entries i, i+1 of both p^-1 and q, so the walk runs on those two lists,
+    always moving the lowest letter that starts q and does not finish p.
+    The braid product A(p)A(q) is preserved; the walk ends when no such
+    letter is left, which is the left-weighted condition.  The end state is
+    the unique left-weighted decomposition of the two-factor product.
     """
-
-    def __init__(self, k: int):
-        self.k = k
-        self.identity = tuple(range(k))
-        self.half_twist = tuple(range(k - 1, -1, -1))
-        self.swaps = [
-            tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, k)) for i in range(k - 1)
-        ]
-        # Delta = A(neg_complement[i]) * s_i, so s_i^-1 = Delta^-1 * A(neg_complement[i])
-        self.neg_complement = [_compose(self.half_twist, s) for s in self.swaps]
-        self._starts: dict[tuple[int, ...], int] = {}
-        self._finishes: dict[tuple[int, ...], int] = {}
-        self._tau: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._renorm: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._words: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def starts(self, p: tuple[int, ...]) -> int:
-        """Bitmask of i such that A(p) has a word starting with s(i+1): p[i] > p[i+1]."""
-        m = self._starts.get(p)
-        if m is None:
-            m = 0
-            for i in range(self.k - 1):
-                if p[i] > p[i + 1]:
-                    m |= 1 << i
-            self._starts[p] = m
-        return m
-
-    def finishes(self, p: tuple[int, ...]) -> int:
-        """Bitmask of i such that A(p) has a word ending with s(i+1)."""
-        m = self._finishes.get(p)
-        if m is None:
-            m = self.starts(_invert(p))
-            self._finishes[p] = m
-        return m
-
-    def tau(self, p: tuple[int, ...]) -> tuple[int, ...]:
-        """Conjugation by the half twist (an involution on permutation factors)."""
-        t = self._tau.get(p)
-        if t is None:
-            w0 = self.half_twist
-            t = self._tau[p] = _compose(_compose(w0, p), w0)
-        return t
-
-    def renorm(self, p: tuple[int, ...], q: tuple[int, ...]):
-        """Left-weight the pair by moving starting letters of q into p.
-
-        The braid product A(p)A(q) is preserved; the loop ends when
-        starts(q) is contained in finishes(p), which is the left-weighted
-        condition.  The end state is the unique left-weighted decomposition
-        of the two-factor product, so the transfer order does not matter.
-        """
-        key = (p, q)
-        got = self._renorm.get(key)
-        if got is None:
-            a, b = p, q
-            while True:
-                free = self.starts(b) & ~self.finishes(a)
-                if not free:
-                    break
-                i = (free & -free).bit_length() - 1
-                s = self.swaps[i]
-                a = _compose(a, s)
-                b = _compose(s, b)
-            got = self._renorm[key] = (a, b)
-        return got
-
-    def normalise(self, factors: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
-        """Left-weight a factor sequence.
-
-        Builds the left-weighted prefix left to right without identity factors:
-        identities are skipped, every other factor is appended and combed back
-        while the boundary pair changes (a change cannot pass an unchanged
-        pair), and identities the combing leaves at the right end, the only
-        place a left-weighted sequence holds them, are popped.  Returns the
-        number of leading half twists stripped off and the remaining factors.
-        """
-        fs: list[tuple[int, ...]] = []
-        for f in factors:
-            if f == self.identity:
-                continue
-            fs.append(f)
-            for j in range(len(fs) - 2, -1, -1):
-                p, q = self.renorm(fs[j], fs[j + 1])
-                if p == fs[j]:
-                    break
-                fs[j], fs[j + 1] = p, q
-            while fs[-1] == self.identity:
-                fs.pop()
-        lead = 0
-        while lead < len(fs) and fs[lead] == self.half_twist:
-            lead += 1
-        return lead, fs[lead:]
-
-    def word_of(self, p: tuple[int, ...]) -> tuple[int, ...]:
-        """A reduced word for A(p) (1-indexed letters), peeling starting letters."""
-        w = self._words.get(p)
-        if w is None:
-            out = []
-            q = p
-            while q != self.identity:
-                m = self.starts(q)
-                i = (m & -m).bit_length() - 1
-                out.append(i + 1)
-                q = _compose(self.swaps[i], q)
-            w = self._words[p] = tuple(out)
-        return w
+    a, b = list(_invert(p)), list(q)
+    i = 0
+    while i < len(b) - 1:
+        if b[i] > b[i + 1] and a[i] < a[i + 1]:
+            a[i], a[i + 1] = a[i + 1], a[i]
+            b[i], b[i + 1] = b[i + 1], b[i]
+            # only position i - 1 below i can have changed
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return _invert(a), tuple(b)
 
 
-@cache
-def _tables(k: int) -> _Tables:
-    return _Tables(k)
+def _normalise(factors: list[tuple[int, ...]], k: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Left-weight a factor sequence.
+
+    Builds the left-weighted prefix left to right without identity factors:
+    identities are skipped, every other factor is appended and combed back
+    while the boundary pair changes (a change cannot pass an unchanged
+    pair), and identities the combing leaves at the right end, the only
+    place a left-weighted sequence holds them, are popped.  Returns the
+    number of leading half twists stripped off and the remaining factors.
+    """
+    identity, half_twist = tuple(range(k)), tuple(range(k - 1, -1, -1))
+    fs: list[tuple[int, ...]] = []
+    for f in factors:
+        if f == identity:
+            continue
+        fs.append(f)
+        for j in range(len(fs) - 2, -1, -1):
+            p, q = _renorm(fs[j], fs[j + 1])
+            if p == fs[j]:
+                break
+            fs[j], fs[j + 1] = p, q
+        while fs[-1] == identity:
+            fs.pop()
+    lead = 0
+    while lead < len(fs) and fs[lead] == half_twist:
+        lead += 1
+    return lead, fs[lead:]
+
+
+def _reduced_word(p: tuple[int, ...]) -> list[int]:
+    """A reduced word for A(p) (1-indexed letters), peeling the lowest
+    starting letter s(i+1), p[i] > p[i+1], until the identity is left."""
+    q, out = list(p), []
+    i = 0
+    while i < len(q) - 1:
+        if q[i] > q[i + 1]:
+            q[i], q[i + 1] = q[i + 1], q[i]
+            out.append(i + 1)
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,23 +312,19 @@ def garside_normal_form(u: BraidWord) -> GarsideForm:
     k = u.strands
     if k == 1 or not u.letters:
         return GarsideForm(k, 0, ())
-    tables = _tables(k)
-    raw: list[tuple[int, ...]] = []
-    pows: list[int] = []
-    for i, s in u.letters:
-        if s > 0:
-            raw.append(tables.swaps[i - 1])
-            pows.append(0)
-        else:
-            raw.append(tables.neg_complement[i - 1])
-            pows.append(-1)
+    letters: list[tuple[int, int]] = []
     dp = 0
-    for t in range(len(raw) - 1, -1, -1):
-        # conjugate by the Delta power accumulated strictly to the right
-        if dp & 1:
-            raw[t] = tables.tau(raw[t])
-        dp += pows[t]
-    lead, fs = tables.normalise(raw)
+    for i, s in reversed(u.letters):
+        # an odd Delta power to the right conjugates by tau, which reads s_i
+        # as s_(k-i) and fixes Delta
+        letters.append((k - i if dp & 1 else i, s))
+        if s < 0:
+            dp -= 1
+    # s_i is its own factor; s_i^-1 = Delta^-1 A(c), where the complement c
+    # (the half twist, then s_i) is s_i reversed and A(c) s_i = Delta.  Only
+    # the factors the word uses are built.
+    factor = {(i, s): _swap(i, k)[::s] for i, s in set(letters)}
+    lead, fs = _normalise([factor[x] for x in reversed(letters)], k)
     return GarsideForm(k, dp + lead, tuple(_lift(f, k) for f in fs))
 
 
@@ -382,11 +336,11 @@ def equal_in_braid(u: BraidWord, v: BraidWord) -> bool:
 
 def permutation_image(u: BraidWord) -> Permutation:
     """The underlying permutation (signs ignored), a homomorphism onto Sigma_k."""
-    tables = _tables(u.strands)
-    p = tables.identity
+    # following s_i swaps entries i-1, i of the inverse image
+    inv = list(range(u.strands))
     for i, _ in u.letters:
-        p = _compose(p, tables.swaps[i - 1])
-    return _lift(p, u.strands)
+        inv[i - 1], inv[i] = inv[i], inv[i - 1]
+    return _lift(_invert(inv), u.strands)
 
 
 def exponent_sum(u: BraidWord) -> int:
@@ -400,10 +354,9 @@ def spell_form(form: GarsideForm) -> BraidWord:
     k = form.strands
     if k == 1:
         return BraidWord(1)
-    tables = _tables(k)
     letters = list(_power_letters(delta_word(k).letters, form.delta_power))
     for f in form.factors:
-        letters += [(i, 1) for i in tables.word_of(_lower(f))]
+        letters += [(i, 1) for i in _reduced_word(_lower(f))]
     return BraidWord(k, tuple(letters))
 
 
@@ -460,12 +413,32 @@ def pure_word_to_braid(strands: int, letters) -> BraidWord:
 # text syntax: "s1 s2^-1 a[1,3] delta^2"
 
 
-def _parse_token(token: str, strands: int, allow_compound: bool) -> tuple[tuple, int]:
+def _read_token(token: str, strands: int, pure_ok: bool = True):
+    """Split a token into (base, exponent, generator), where generator is the
+    PureGeneratorId of an a[i,j] base and None for any other base."""
     base, caret, exp_text = token.partition("^")
     try:
         exp = int(exp_text) if caret else 1
     except ValueError:
         raise BraidError(f"bad exponent in token {token!r}") from None
+    if not (base.startswith("a[") and base.endswith("]")):
+        return base, exp, None
+    if not pure_ok:
+        raise BraidError(f"pure-braid generator {base!r} is not in this group's alphabet")
+    inner = base[2:-1].split(",")
+    if len(inner) != 2:
+        raise BraidError(f"bad pure-generator token {token!r}")
+    try:
+        i, j = int(inner[0]), int(inner[1])
+    except ValueError:
+        raise BraidError(f"bad pure-generator token {token!r}") from None
+    return base, exp, PureGeneratorId(i, j, strands)
+
+
+def _parse_token(token: str, strands: int, allow_compound: bool) -> tuple[tuple, int]:
+    base, exp, gen = _read_token(token, strands, allow_compound)
+    if gen is not None:
+        return pure_generator(gen).letters, exp
     if base.startswith("s") and base[1:].isdigit():
         i = int(base[1:])
         if not 1 <= i <= strands - 1:
@@ -475,17 +448,6 @@ def _parse_token(token: str, strands: int, allow_compound: bool) -> tuple[tuple,
         if not allow_compound:
             raise BraidError("delta is not a generator of this group")
         return delta_word(strands).letters, exp
-    if base.startswith("a[") and base.endswith("]"):
-        if not allow_compound:
-            raise BraidError(f"pure-braid generator {base!r} is not in this group's alphabet")
-        inner = base[2:-1].split(",")
-        if len(inner) != 2:
-            raise BraidError(f"bad pure-generator token {token!r}")
-        try:
-            i, j = int(inner[0]), int(inner[1])
-        except ValueError:
-            raise BraidError(f"bad pure-generator token {token!r}") from None
-        return pure_generator(PureGeneratorId(i, j, strands)).letters, exp
     raise BraidError(f"unrecognised word token {token!r}")
 
 
@@ -502,21 +464,9 @@ def parse_pure_word(text: str, strands: int) -> tuple[tuple[PureGeneratorId, int
     """Parse a word over the pure-braid alphabet only: "a[1,2] a[1,3]^-1"."""
     letters: list[tuple[PureGeneratorId, int]] = []
     for token in text.split():
-        base, caret, exp_text = token.partition("^")
-        try:
-            exp = int(exp_text) if caret else 1
-        except ValueError:
-            raise BraidError(f"bad exponent in token {token!r}") from None
-        if not (base.startswith("a[") and base.endswith("]")):
+        _, exp, gen = _read_token(token, strands)
+        if gen is None:
             raise BraidError(f"token {token!r} is not a pure-braid generator")
-        inner = base[2:-1].split(",")
-        if len(inner) != 2:
-            raise BraidError(f"bad pure-generator token {token!r}")
-        try:
-            i, j = int(inner[0]), int(inner[1])
-        except ValueError:
-            raise BraidError(f"bad pure-generator token {token!r}") from None
-        gen = PureGeneratorId(i, j, strands)
         sign = 1 if exp > 0 else -1
         _check_letter_budget(len(letters) + abs(exp))
         letters += [(gen, sign)] * abs(exp)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Iterator, Mapping, TypeVar
 
 from .braids import _MAX_LETTERS
@@ -158,14 +159,32 @@ def _yang_baxter_relators(k: int) -> Iterator[Word]:
                     yield commutator_word(a_jl, a_kl + a_ik + inverse_word(a_kl))
 
 
+def _relator_letters(name: str, k: int) -> int:
+    """The letter count of _relators(name, k), in closed form: 4 letters per
+    commuting pair and 6 per braid relation of the Artin relators, 12 per
+    triple and 24 per quadruple of the Yang-Baxter relators, then the extra
+    relators of the quotients."""
+    artin = 4 * comb(k - 1, 2) + 2 * (k - 2)
+    pure = 12 * comb(k, 3) + 24 * comb(k, 4)
+    counts = {
+        "artin": artin,
+        "braid_mod_delta_sq": artin + k * (k - 1),
+        "unordered_top": artin + 4 * (k - 2),
+        "pure_braid": pure,
+        "pure_braid_mod_D": pure + comb(k, 2),
+    }
+    if name not in counts:
+        raise PresentationError(f"unknown presentation name {name!r}")
+    return counts[name]
+
+
 def _relators(name: str, k: int) -> Iterator[Word]:
-    """The relators of a builtin presentation, generated one at a time."""
+    """The relators of a builtin presentation (a name _relator_letters
+    accepts), generated one at a time."""
     if name in ("artin", "braid_mod_delta_sq", "unordered_top"):
         yield from _artin_relators(k)
-    elif name in ("pure_braid", "pure_braid_mod_D"):
-        yield from _yang_baxter_relators(k)
     else:
-        raise PresentationError(f"unknown presentation name {name!r}")
+        yield from _yang_baxter_relators(k)
     if name == "pure_braid_mod_D":  # the full twist
         yield tuple((_pure_name(i, j), 1) for i, j in _pure_names(k))
     if name == "braid_mod_delta_sq":  # the staircase Delta, twice
@@ -179,26 +198,19 @@ def builtin_presentation(name: str, size: int) -> Presentation:
     """Named presentations; size is the strand count (artin, pure_braid and
     their quotients) or the point count n+1 (unordered_top).
 
-    The relators may hold at most braids._MAX_LETTERS letters in all; the
-    count is kept while they are generated, so an oversized request raises
-    PresentationError before it is built (pure_braid allows size <= 32,
-    artin size <= 708)."""
+    The relators may hold at most braids._MAX_LETTERS letters in all; their
+    count is known in closed form, so an oversized request raises
+    PresentationError before any relator is generated (pure_braid allows
+    size <= 32, artin size <= 708)."""
     if size < 2:
         raise PresentationError(f"{name} needs size >= 2, got {size}")
-    rels: list[Word] = []
-    letters = 0
-    for rel in _relators(name, size):
-        letters += len(rel)
-        if letters > _MAX_LETTERS:
-            raise PresentationError(
-                f"{name}:{size} has over {_MAX_LETTERS} relator letters"
-            )
-        rels.append(rel)
+    if _relator_letters(name, size) > _MAX_LETTERS:
+        raise PresentationError(f"{name}:{size} has over {_MAX_LETTERS} relator letters")
     if name.startswith("pure"):
         gens = tuple(_pure_name(i, j) for i, j in _pure_names(size))
     else:
         gens = _artin_names(size)
-    return Presentation(gens, tuple(rels))
+    return Presentation(gens, tuple(_relators(name, size)))
 
 
 # ---------------------------------------------------------------------------

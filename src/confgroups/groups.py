@@ -264,7 +264,10 @@ def _parse_integer_word(text: str) -> int:
     total = 0
     for token in text.split():
         base, caret, exp_text = token.partition("^")
-        exp = int(exp_text) if caret else 1
+        try:
+            exp = int(exp_text) if caret else 1
+        except ValueError:
+            raise AlphabetError(f"bad exponent in token {token!r}") from None
         if base == "h":
             total += exp
         elif base == "H":

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braids import BraidWord, _tables
+from .braids import BraidWord, _reduced_word
 
 
 class LoopError(ValueError):
@@ -326,7 +326,7 @@ def _resolve_frame_ties(zf: np.ndarray, margin: float) -> np.ndarray:
 
 
 def _word_of_rank_perm(k: int, perm: tuple[int, ...], offset: int, sign: int):
-    return [(idx + offset, sign) for idx in _tables(len(perm)).word_of(perm)]
+    return [(idx + offset, sign) for idx in _reduced_word(perm)]
 
 
 def _block_letters(k: int, pi: tuple[int, ...], crossings, margin: float):

@@ -281,7 +281,7 @@ def _lift_of_image(w: _b.BraidWord, n: int) -> _b.BraidWord:
     perm = _g.tau(d, w)
     lowered = tuple(v - 1 for v in perm.images)
     lift = _b.BraidWord(n + 1)
-    for idx in _b._tables(n + 1).word_of(lowered):
+    for idx in _b._reduced_word(lowered):
         lift = _b.multiply(lift, _g.sigma_prime(idx, n))
     return lift
 

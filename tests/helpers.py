@@ -4,9 +4,10 @@ Everything in this file is deliberately independent of the package's own
 normal-form / linear-algebra code paths: brute-force rewriting closure for
 positive braid words, gcd-of-minors invariant factors, an unwrap-based winding
 count, and a tiny standalone permutation calculus.  The package is tested
-against these, never the other way around.  The one-letter-per-factor
-combing and the frame-by-frame loop functions at the end are the references
-for the package's identity-free combing and batched loop layer.
+against these, never the other way around.  The letter-at-a-time pair
+renormalisation and reduced words, the one-letter-per-factor combing and the
+frame-by-frame loop functions at the end are the references for the
+package's Garside kernel, identity-free combing and batched loop layer.
 """
 
 from __future__ import annotations
@@ -182,29 +183,74 @@ def insert_word_relator(
 
 
 # ---------------------------------------------------------------------------
-# reference combing for the Garside kernel: one raw factor per letter in a
-# fixed-length list, so every later factor is combed back through the
-# identity factors that cancelled letters leave behind.  Same signature as
-# confgroups.braids._Tables.normalise, which must agree with it exactly.
+# references for the Garside kernel, on 0-indexed permutation tuples.
+# reference_renorm and reference_word_of move one letter at a time by
+# composing with adjacent transpositions, the letter-at-a-time kernel that
+# confgroups.braids._renorm and _reduced_word replace; they must agree exactly.
 
 
-def reference_normalise(tables, factors):
+def _starts(p: tuple[int, ...]) -> list[int]:
+    """The i such that s(i+1) starts A(p): p[i] > p[i+1]."""
+    return [i for i in range(len(p) - 1) if p[i] > p[i + 1]]
+
+
+def _finishes(p: tuple[int, ...]) -> list[int]:
+    """The i such that s(i+1) finishes A(p): the starts of p^-1."""
+    inv = [0] * len(p)
+    for x, v in enumerate(p):
+        inv[v] = x
+    return _starts(tuple(inv))
+
+
+def reference_renorm(p: tuple[int, ...], q: tuple[int, ...]):
+    """Left-weight A(p)A(q): move the lowest letter that starts q and does
+    not finish p from q into p until none is left."""
+    while True:
+        free = [i for i in _starts(q) if i not in _finishes(p)]
+        if not free:
+            return p, q
+        s = perm_transposition(len(p), free[0], free[0] + 1)
+        p, q = perm_compose(p, s), perm_compose(s, q)
+
+
+def reference_word_of(p: tuple[int, ...]) -> list[int]:
+    """A reduced word for A(p) (1-indexed letters), peeling the lowest
+    starting letter until the identity is left."""
+    out = []
+    while _starts(p):
+        i = _starts(p)[0]
+        out.append(i + 1)
+        p = perm_compose(perm_transposition(len(p), i, i + 1), p)
+    return out
+
+
+# reference combing: one raw factor per letter in a fixed-length list, so
+# every later factor is combed back through the identity factors that
+# cancelled letters leave behind.  Same signature as
+# confgroups.braids._normalise, which must agree with it exactly; both comb
+# with the package's pair renormalisation.
+
+
+def reference_normalise(factors, k):
+    from confgroups.braids import _renorm
+
+    identity, half_twist = tuple(range(k)), tuple(range(k - 1, -1, -1))
     fs = list(factors)
     for t in range(len(fs) - 1):
-        p, q = tables.renorm(fs[t], fs[t + 1])
+        p, q = _renorm(fs[t], fs[t + 1])
         if p == fs[t]:
             continue
         fs[t], fs[t + 1] = p, q
         for j in range(t - 1, -1, -1):
-            p, q = tables.renorm(fs[j], fs[j + 1])
+            p, q = _renorm(fs[j], fs[j + 1])
             if p == fs[j]:
                 break
             fs[j], fs[j + 1] = p, q
     lead = 0
-    while lead < len(fs) and fs[lead] == tables.half_twist:
+    while lead < len(fs) and fs[lead] == half_twist:
         lead += 1
     tail = len(fs)
-    while tail > lead and fs[tail - 1] == tables.identity:
+    while tail > lead and fs[tail - 1] == identity:
         tail -= 1
     return lead, fs[lead:tail]
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -273,8 +274,41 @@ def test_normal_form_matches_identity_combing_reference(monkeypatch):
             letters = parse_word(_random_token_text(rng, k, length), k).letters
         words.append(BraidWord(k, tuple(letters)))
     forms = [garside_normal_form(w) for w in words]
-    monkeypatch.setattr(braids._Tables, "normalise", helpers.reference_normalise)
+    monkeypatch.setattr(braids, "_normalise", helpers.reference_normalise)
     assert [garside_normal_form(w) for w in words] == forms
+
+
+def test_renorm_matches_letter_at_a_time_reference():
+    for k in range(1, 6):
+        perms = list(itertools.permutations(range(k)))
+        for p in perms:
+            for q in perms:
+                assert braids._renorm(p, q) == helpers.reference_renorm(p, q)
+    rng = random.Random(15)
+    for _ in range(5000):
+        k = rng.randint(6, 12)
+        p, q = tuple(rng.sample(range(k), k)), tuple(rng.sample(range(k), k))
+        assert braids._renorm(p, q) == helpers.reference_renorm(p, q)
+
+
+def test_reduced_word_matches_reference():
+    for k in range(1, 7):
+        for p in itertools.permutations(range(k)):
+            assert braids._reduced_word(p) == helpers.reference_word_of(p)
+
+
+def test_cold_normal_form_keeps_little_memory_alive():
+    # the pair memo keeps the pairs a form needs, not one entry per
+    # intermediate permutation of every renormalisation
+    w = parse_word("s1 s2^-1", 150)
+    tracemalloc.start()
+    try:
+        form = garside_normal_form(w)
+        alive, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert form == garside_normal_form(w)
+    assert alive < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +351,31 @@ def test_parse_pure_word():
             parse_pure_word(bad, 3)
 
 
+def test_token_error_texts():
+    cases = [
+        (lambda: parse_word("s1^x", 3), "bad exponent in token 's1^x'"),
+        (lambda: parse_word("s9", 3), "generator index 9 out of range for 3 strands"),
+        (lambda: parse_word("x7", 3), "unrecognised word token 'x7'"),
+        (lambda: parse_word("delta", 3, allow_compound=False), "delta is not a generator of this group"),
+        (
+            lambda: parse_word("a[1,x]", 3, allow_compound=False),
+            "pure-braid generator 'a[1,x]' is not in this group's alphabet",
+        ),
+        (lambda: parse_word("a[1,2,3]^2", 3), "bad pure-generator token 'a[1,2,3]^2'"),
+        (lambda: parse_word("a[1,x]", 3), "bad pure-generator token 'a[1,x]'"),
+        (lambda: parse_word("a[2,1]", 3), "need 1 <= i < j <= strands, got (2, 1) in 3"),
+        (lambda: parse_pure_word("a[1,2]^y", 3), "bad exponent in token 'a[1,2]^y'"),
+        (lambda: parse_pure_word("s1", 3), "token 's1' is not a pure-braid generator"),
+        (lambda: parse_pure_word("a[1]", 3), "bad pure-generator token 'a[1]'"),
+        (lambda: parse_pure_word("a[x,2]", 3), "bad pure-generator token 'a[x,2]'"),
+        (lambda: parse_pure_word("a[1,4]", 3), "need 1 <= i < j <= strands, got (1, 4) in 3"),
+    ]
+    for parse, text in cases:
+        with pytest.raises(BraidError) as info:
+            parse()
+        assert str(info.value) == text
+
+
 def test_word_expansion_is_bounded():
     # each of these would allocate 10**12 letters or more without the check
     for text in ("s1^1000000000000", "delta^-1000000000000", "s2 a[1,3]^1000000000000"):
@@ -337,7 +396,7 @@ def test_word_expansion_is_bounded():
 
 def test_strand_count_is_bounded():
     # Delta_k has k(k-1)/2 letters, so k <= 1414 fits the letter budget; a
-    # larger strand count would allocate permutation tables of k^2 entries
+    # larger strand count would spell a half twist over the budget
     assert parse_word("s1", 1414).strands == 1414
     for make in (lambda: parse_word("s1", 10**6), lambda: BraidWord(1415), lambda: BraidWord(10**9)):
         with pytest.raises(BraidError, match="half twist"):

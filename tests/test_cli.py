@@ -214,6 +214,10 @@ def test_domain_errors_exit_1(capsys):
     code, _, err = run(capsys, "equal", "--group", "integers", "x", "h")
     assert code == 1
 
+    code, _, err = run(capsys, "equal", "--group", "integers", "h^x", "h")
+    assert code == 1
+    assert "bad exponent in token 'h^x'" in err
+
     code, _, err = run(capsys, "abelianize", "--presentation", "nonsense:3")
     assert code == 1
 

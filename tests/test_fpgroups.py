@@ -5,7 +5,9 @@ import random
 import pytest
 
 import helpers
+from confgroups import fpgroups
 from confgroups.braids import (
+    _MAX_LETTERS,
     BraidWord,
     PureGeneratorId,
     equal_in_braid,
@@ -120,6 +122,33 @@ def test_builtin_errors():
     for name in ("pure_braid", "artin"):
         with pytest.raises(PresentationError, match="relator letters"):
             builtin_presentation(name, 10**4)
+
+
+_BUILTIN_NAMES = ("artin", "braid_mod_delta_sq", "unordered_top", "pure_braid", "pure_braid_mod_D")
+
+
+def test_relator_letter_counts_are_the_generated_totals():
+    for name in _BUILTIN_NAMES:
+        for k in range(2, 14):
+            total = sum(len(rel) for rel in fpgroups._relators(name, k))
+            assert fpgroups._relator_letters(name, k) == total, (name, k)
+    # the budget's edges: pure_braid up to 32 strands, artin up to 708
+    for name, k in (("pure_braid", 32), ("artin", 708)):
+        assert fpgroups._relator_letters(name, k) <= _MAX_LETTERS
+        with pytest.raises(PresentationError, match="relator letters"):
+            builtin_presentation(name, k + 1)
+
+
+def test_oversized_presentation_is_refused_before_generation(monkeypatch):
+    def fail(name, k):
+        raise AssertionError("relators generated for an oversized request")
+
+    monkeypatch.setattr(fpgroups, "_relators", fail)
+    for name in _BUILTIN_NAMES:
+        with pytest.raises(PresentationError, match="relator letters"):
+            builtin_presentation(name, 10**4)
+    with pytest.raises(PresentationError, match="relator letters"):
+        builtin_presentation("artin", 10**7)
 
 
 # ---------------------------------------------------------------------------

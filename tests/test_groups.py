@@ -6,6 +6,7 @@ import random
 import pytest
 
 import helpers
+from confgroups import groups
 from confgroups.braids import (
     BraidError,
     BraidWord,
@@ -240,6 +241,9 @@ def test_alphabet_errors():
         element_from_word(descriptor_for("integers"), parse_word("s1", 3))
     with pytest.raises(AlphabetError):
         equal_in_group(descriptor_for("integers"), 1, parse_word("s1", 3))
+    with pytest.raises(AlphabetError, match="bad exponent in token 'h\\^x'"):
+        groups._parse_integer_word("h^x")
+    assert groups._parse_integer_word("h^3 H h^-1") == 1
 
 
 def test_exponent_parity_invariant():
