@@ -5,9 +5,14 @@ stored fully expanded so scanning is a plain walk.  Text syntax:
 ``gens: a, b ; rels: a b a B A B`` -- capitalised first letter means the
 inverse letter, relators are comma-separated.
 
-Coset enumeration is plain HLT (scan-and-fill every relator from every live
-coset in creation order) with a union-find coincidence queue; hitting the
-coset cap is a normal outcome reported in the table status, not an error.
+Coset tables have one column per letter, generator t at 2t and its inverse at
+2t+1 (so ``c ^ 1`` is the inverse column); ``_columns`` is the one encoder and
+rejects any letter but (generator, +1 or -1).  Coset enumeration is plain HLT
+(scan-and-fill every relator from every live coset in creation order) with a
+union-find coincidence queue; hitting the coset cap is a normal outcome
+reported in the table status, not an error.  A complete table is returned
+only after a closing check walks its rows: no gaps, every relator closes from
+every coset, the subgroup words fix coset 0.
 Smith normal form works over unbounded Python integers with
 minimal-absolute-value pivoting.
 """
@@ -47,13 +52,26 @@ class Presentation:
                 raise PresentationError(
                     f"generator name {name!r} must start with a lowercase letter"
                 )
-        known = set(self.generators)
-        for rel in self.relators:
-            for name, sign in rel:
-                if name not in known:
-                    raise PresentationError(f"relator letter {name!r} is not a generator")
-                if sign not in (1, -1):
-                    raise PresentationError("letter sign must be +1 or -1")
+        _columns(self.generators, self.relators)
+
+
+def _columns(generators: tuple[str, ...], words: tuple[Word, ...]) -> list[tuple[int, ...]]:
+    """Each word as table columns: generator t is column 2t, its inverse 2t+1.
+
+    Raises PresentationError on a letter that is not (generator, +1 or -1)."""
+    index = {name: 2 * t for t, name in enumerate(generators)}
+    offset = {1: 0, -1: 1}
+    out = []
+    for word in words:
+        cols = []
+        for letter in word:
+            try:
+                name, sign = letter
+                cols.append(index[name] + offset[sign])
+            except (KeyError, TypeError, ValueError):
+                raise PresentationError(f"letter {letter!r} is not (generator, +1 or -1)") from None
+        out.append(tuple(cols))
+    return out
 
 
 def inverse_word(w: Word) -> Word:
@@ -269,33 +287,29 @@ class CosetTable:
     def num_cosets(self) -> int:
         return len(self.table)
 
-    def _col(self, name: str, sign: int) -> int:
-        idx = self.presentation.generators.index(name)
-        return 2 * idx + (0 if sign > 0 else 1)
-
     def trace(self, word: Word, start: int = 0) -> int | None:
         """Follow the word through the table; None if it runs off a gap."""
         cur: int | None = start
-        for name, sign in word:
+        for c in _columns(self.presentation.generators, (word,))[0]:
             if cur is None:
                 return None
-            step = self.table[cur][self._col(name, sign)]
-            cur = step
+            cur = self.table[cur][c]
         return cur
 
     def verify(self) -> bool:
         """Full consistency check: the table is closed, every relator scans to
         closure from every coset, and the subgroup words fix coset 0."""
-        if self.status != "complete":
+        if self.status != "complete" or any(None in row for row in self.table):
             return False
-        for row in self.table:
-            if any(entry is None for entry in row):
+        rows = self.table
+        cosets = list(range(self.num_cosets))
+        for cols in _columns(self.presentation.generators, self.presentation.relators):
+            ends = cosets  # walk every coset at once, one column per letter
+            for c in cols:
+                ends = [rows[x][c] for x in ends]
+            if ends != cosets:
                 return False
-        for c in range(self.num_cosets):
-            for rel in self.presentation.relators:
-                if self.trace(rel, c) != c:
-                    return False
-        return all(self.trace(w, 0) == 0 for w in self.subgroup)
+        return all(self.trace(w) == 0 for w in self.subgroup)
 
 
 def todd_coxeter(
@@ -309,15 +323,9 @@ def todd_coxeter(
     """
     if max_cosets < 1:
         raise PresentationError("max_cosets must be at least 1")
-    gens = p.generators
-    g = len(gens)
-    idx = {name: t for t, name in enumerate(gens)}
-
-    def cols(word: Word) -> tuple[int, ...]:
-        return tuple(2 * idx[name] + (0 if sign > 0 else 1) for name, sign in word)
-
-    rel_cols = [cols(r) for r in p.relators]
-    sub_cols = [cols(w) for w in subgroup]
+    g = len(p.generators)
+    rel_cols = _columns(p.generators, p.relators)
+    sub_cols = _columns(p.generators, subgroup)
 
     tab: list[list[int | None]] = [[None] * (2 * g)]
     parent = [0]
@@ -328,13 +336,15 @@ def todd_coxeter(
             x = parent[x]
         return x
 
-    def define(a: int, c: int) -> int:
+    def define(a: int, c: int) -> bool:
         b = len(tab)
+        if b >= max_cosets:
+            return False  # at the cap: define nothing
         tab.append([None] * (2 * g))
         parent.append(b)
         tab[a][c] = b
         tab[b][c ^ 1] = a
-        return b
+        return True
 
     def coincidence(x: int, y: int) -> None:
         queue = deque([(x, y)])
@@ -401,51 +411,36 @@ def todd_coxeter(
             if fi == bi - 1:
                 set_edge(f, word_cols[fi], b)
                 return True
-            if len(tab) >= max_cosets:
+            if not define(f, word_cols[fi]):
                 return False
-            define(f, word_cols[fi])
 
-    capped = False
-    for w in sub_cols:
-        if not scan_and_fill(w, 0):
-            capped = True
-            break
-    if not capped:
+    def enumerate_cosets() -> bool:
+        """HLT to closure; False when the definition cap is hit."""
+        for w in sub_cols:
+            if not scan_and_fill(w, 0):
+                return False
         i = 0
         while i < len(tab):
-            if find(i) != i:
-                i += 1
-                continue
-            dead = False
-            for rel in rel_cols:
-                if not scan_and_fill(rel, i):
-                    capped = True
-                    break
-                if find(i) != i:
-                    dead = True
-                    break
-            if capped:
-                break
-            if not dead:
-                for c in range(2 * g):
-                    if tab[i][c] is None:
-                        if len(tab) >= max_cosets:
-                            capped = True
-                            break
-                        define(i, c)
-                if capped:
-                    break
+            if find(i) == i:
+                for rel in rel_cols:
+                    if not scan_and_fill(rel, i):
+                        return False
+                    if find(i) != i:
+                        break
+                else:  # i survived every relator: fill its row
+                    for c in range(2 * g):
+                        if tab[i][c] is None and not define(i, c):
+                            return False
             i += 1
+        return True
 
+    capped = not enumerate_cosets()
     live = [x for x in range(len(tab)) if find(x) == x]
     renum = {x: t for t, x in enumerate(live)}
-    rows = []
-    for x in live:
-        row = tuple(
-            renum[find(entry)] if entry is not None else None for entry in tab[x]
-        )
-        rows.append(row)
-    result = CosetTable(p, tuple(subgroup), "capped" if capped else "complete", tuple(rows))
+    rows = tuple(
+        tuple(renum[find(entry)] if entry is not None else None for entry in tab[x]) for x in live
+    )
+    result = CosetTable(p, tuple(subgroup), "capped" if capped else "complete", rows)
     if not capped and not result.verify():
         raise RuntimeError("coset table failed its closing consistency check")
     return result
@@ -574,10 +569,10 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[int, ...]:
 def relator_matrix(p: Presentation) -> IntegerMatrix:
     """Exponent-sum matrix: one row per relator, one column per generator."""
     rows = []
-    for rel in p.relators:
+    for cols in _columns(p.generators, p.relators):
         row = [0] * len(p.generators)
-        for name, sign in rel:
-            row[p.generators.index(name)] += sign
+        for c in cols:
+            row[c >> 1] += -1 if c & 1 else 1
         rows.append(row)
     return IntegerMatrix.from_rows(rows, cols=len(p.generators))
 

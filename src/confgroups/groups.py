@@ -35,6 +35,8 @@ from .braids import (
     Permutation,
     PureGeneratorId,
     _check_letter_budget,
+    _invert,
+    _lift,
     exponent_sum,
     garside_normal_form,
     inverse,
@@ -170,10 +172,11 @@ def star_transposition(n_plus_1: int, i: int) -> Permutation:
 
 
 def _star_image(w: BraidWord) -> Permutation:
-    p = Permutation.identity(w.strands)
+    # following the i-th star transposition swaps entries 0, i of the inverse image
+    inv = list(range(w.strands))
     for i, _ in w.letters:
-        p = p.compose(star_transposition(w.strands, i))
-    return p
+        inv[0], inv[i] = inv[i], inv[0]
+    return _lift(_invert(inv), w.strands)
 
 
 def _require_integer(d: GroupDescriptor, w: object) -> int:

@@ -325,11 +325,11 @@ def _resolve_frame_ties(zf: np.ndarray, margin: float) -> np.ndarray:
     return out
 
 
-def _word_of_rank_perm(k: int, perm: tuple[int, ...], offset: int, sign: int):
+def _word_of_rank_perm(perm: tuple[int, ...], offset: int, sign: int):
     return [(idx + offset, sign) for idx in _reduced_word(perm)]
 
 
-def _block_letters(k: int, pi: tuple[int, ...], crossings, margin: float):
+def _block_letters(pi: tuple[int, ...], crossings):
     """Simultaneous crossings: split into rank-interval blocks; each block must
     be uniform-sign and is emitted as a permutation braid on its interval."""
     intervals = []
@@ -359,7 +359,7 @@ def _block_letters(k: int, pi: tuple[int, ...], crossings, margin: float):
                 "increase the frame count"
             )
         sub = tuple(pi[r] - lo for r in range(lo, hi + 1))
-        letters += _word_of_rank_perm(k, sub, lo, signs.pop())
+        letters += _word_of_rank_perm(sub, lo, signs.pop())
     return letters
 
 
@@ -398,10 +398,10 @@ def _step_letters(E: np.ndarray, F: np.ndarray, k: int, margin: float, depth: in
         return []
     signs = {s for _, _, s in crossings}
     if len(signs) == 1:
-        return _word_of_rank_perm(k, pi, 0, signs.pop())
+        return _word_of_rank_perm(pi, 0, signs.pop())
     times = [t for t, _, _ in crossings]
     if depth <= 0 or max(times) - min(times) < 2.0 ** -40:
-        return _block_letters(k, pi, crossings, margin)
+        return _block_letters(pi, crossings)
     for split in _BISECT_SPLITS:
         mid = (1 - split) * E + split * F
         if not _real_ties(mid, margin):

@@ -6,8 +6,9 @@ positive braid words, gcd-of-minors invariant factors, an unwrap-based winding
 count, and a tiny standalone permutation calculus.  The package is tested
 against these, never the other way around.  The letter-at-a-time pair
 renormalisation and reduced words, the one-letter-per-factor combing and the
-frame-by-frame loop functions at the end are the references for the
-package's Garside kernel, identity-free combing and batched loop layer.
+frame-by-frame loop functions are the references for the package's Garside
+kernel, identity-free combing and batched loop layer; the name-based coset
+table walk at the end is the reference for the column-based closing check.
 """
 
 from __future__ import annotations
@@ -385,3 +386,31 @@ def reference_det_winding(loop, *, tol=_SPAN_TOL, refine_budget=1024) -> int:
     for t in range(loop.num_frames - 1):
         total += segment(loop.frames[t], loop.frames[t + 1], dets[t], dets[t + 1])
     return int(round(total / (2 * math.pi)))
+
+
+# ---------------------------------------------------------------------------
+# the coset-table closing check, letter by letter through generator names:
+# the reference for confgroups.fpgroups.CosetTable.verify, which walks
+# encoded columns over every coset at once.  They must agree exactly.
+
+
+def reference_trace(table, word, start: int = 0):
+    gens = table.presentation.generators
+    cur = start
+    for name, sign in word:
+        if cur is None:
+            return None
+        cur = table.table[cur][2 * gens.index(name) + (0 if sign > 0 else 1)]
+    return cur
+
+
+def reference_verify(table) -> bool:
+    if table.status != "complete":
+        return False
+    if any(entry is None for row in table.table for entry in row):
+        return False
+    for c in range(table.num_cosets):
+        for rel in table.presentation.relators:
+            if reference_trace(table, rel, c) != c:
+                return False
+    return all(reference_trace(table, w, 0) == 0 for w in table.subgroup)

@@ -1,5 +1,6 @@
 """Finitely presented groups: presentations, coset enumeration, abelianization."""
 
+import dataclasses
 import random
 
 import pytest
@@ -58,8 +59,9 @@ def test_presentation_validation():
         Presentation(("a", "a"), ())
     with pytest.raises(PresentationError):
         Presentation(("A",), ())
-    with pytest.raises(PresentationError):
-        Presentation(("a",), ((("b", 1),),))
+    for letter in (("b", 1), ("a", 0), ("a",), ("a", 1, 1), 7):
+        with pytest.raises(PresentationError):
+            Presentation(("a",), ((("a", 1), letter),))
 
 
 def test_parse_and_format_presentation():
@@ -287,6 +289,88 @@ def test_trace_walks_the_table():
 def test_max_cosets_validation():
     with pytest.raises(PresentationError):
         todd_coxeter(builtin_presentation("artin", 3), max_cosets=0)
+
+
+_BAD_LETTERS = (("z", 1), ("s1", 0), ("s1", 5), ("s1",), ("s1", 1, 1), 7)
+
+
+@pytest.mark.parametrize("letter", _BAD_LETTERS, ids=repr)
+def test_malformed_subgroup_letter_is_a_presentation_error(letter):
+    # an unknown name is not a KeyError, and ("s1", 0) is not s1^-1 nor ("s1", 5) s1
+    with pytest.raises(PresentationError):
+        todd_coxeter(builtin_presentation("artin", 3), ((letter,),))
+
+
+@pytest.mark.parametrize("letter", _BAD_LETTERS, ids=repr)
+def test_malformed_trace_letter_is_a_presentation_error(letter):
+    table = todd_coxeter(_with_squares(builtin_presentation("artin", 3)))
+    with pytest.raises(PresentationError):
+        table.trace((letter,))
+
+
+def _enumerated_tables():
+    """Complete and capped tables of builtin families and random presentations."""
+    tables = []
+    for cap in (1, 4, 30, 10**5):
+        for k in (3, 4):
+            top = builtin_presentation("unordered_top", k)
+            tables.append(todd_coxeter(top, ((("s1", 1), ("s1", 1)),), max_cosets=cap))
+            tables.append(todd_coxeter(_with_squares(builtin_presentation("artin", k)), max_cosets=cap))
+            pure = builtin_presentation("pure_braid_mod_D", k)
+            sub = tuple(((g, 1), (g, 1)) for g in pure.generators)
+            tables.append(todd_coxeter(pure, sub, max_cosets=cap))
+    rng = random.Random(61)
+    for _ in range(60):
+        gens = ("a", "b", "c")[: rng.randint(1, 3)]
+
+        def word(lo, hi):
+            return tuple((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(lo, hi)))
+
+        p = Presentation(gens, tuple(word(1, 6) for _ in range(rng.randint(1, 4))))
+        sub = tuple(word(0, 3) for _ in range(rng.randint(0, 2)))
+        tables.append(todd_coxeter(p, sub, max_cosets=rng.choice((5, 50, 500))))
+    return tables
+
+
+def test_closing_check_agrees_with_reference_on_enumerated_tables():
+    tables = _enumerated_tables()
+    statuses = {t.status for t in tables}
+    assert statuses == {"complete", "capped"}
+    for table in tables:
+        assert table.verify() == helpers.reference_verify(table)
+        assert table.verify() == (table.status == "complete")
+
+
+def test_closing_check_agrees_with_reference_on_corrupted_tables():
+    good = todd_coxeter(_with_squares(builtin_presentation("artin", 4)))
+    top = todd_coxeter(builtin_presentation("unordered_top", 4), ((("s1", 1), ("s1", 1)),))
+    for table in (good, top):
+        rows = [list(r) for r in table.table]
+        gap = [r[:] for r in rows]
+        gap[5][1] = None
+        swapped = [r[:] for r in rows]
+        swapped[2][0], swapped[7][0] = swapped[7][0], swapped[2][0]
+        corrupted = [
+            dataclasses.replace(table, table=tuple(map(tuple, gap))),
+            dataclasses.replace(table, table=tuple(map(tuple, swapped))),
+            dataclasses.replace(table, subgroup=table.subgroup + ((("s2", 1),),)),
+            dataclasses.replace(table, status="capped"),
+        ]
+        assert table.verify() and helpers.reference_verify(table)
+        for bad in corrupted:
+            assert not helpers.reference_verify(bad)
+            assert not bad.verify()
+
+
+def test_todd_coxeter_raises_when_closing_check_fails(monkeypatch):
+    checked = []
+    monkeypatch.setattr(fpgroups.CosetTable, "verify", lambda self: checked.append(self) or False)
+    with pytest.raises(RuntimeError, match="closing consistency check"):
+        todd_coxeter(_with_squares(builtin_presentation("artin", 3)))
+    assert len(checked) == 1
+    # a capped table is not checked and is returned as it is
+    capped = todd_coxeter(Presentation(("a", "b"), ()), max_cosets=50)
+    assert capped.status == "capped" and len(checked) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,15 @@ def test_tau_is_a_homomorphism_onto_star_transpositions():
         assert tau(d, multiply(u, v)) == tau(d, u).compose(tau(d, v))
 
 
+def test_star_image_matches_reference_permutations():
+    rng = random.Random(41)
+    for _ in range(300):
+        k = rng.randint(2, 7)
+        w = BraidWord(k, tuple(helpers.random_letters(rng, k, rng.randrange(0, 12))))
+        expected = helpers.perm_of_letters(k, [(0, i) for i, _ in w.letters])
+        assert groups._star_image(w).images == tuple(v + 1 for v in expected)
+
+
 def test_sigma_prime_examples():
     assert sigma_prime(1, 2) == parse_word("s1", 3)
     assert sigma_prime(2, 2) == parse_word("s1 s2 s1^-1", 3)
