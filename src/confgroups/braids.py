@@ -331,7 +331,7 @@ def garside_normal_form(u: BraidWord) -> GarsideForm:
 def equal_in_braid(u: BraidWord, v: BraidWord) -> bool:
     if u.strands != v.strands:
         raise BraidError(f"strand-count mismatch: {u.strands} vs {v.strands}")
-    return garside_normal_form(multiply(u, inverse(v))).is_identity()
+    return garside_normal_form(u) == garside_normal_form(v)
 
 
 def permutation_image(u: BraidWord) -> Permutation:
@@ -439,7 +439,7 @@ def _parse_token(token: str, strands: int, allow_compound: bool) -> tuple[tuple,
     base, exp, gen = _read_token(token, strands, allow_compound)
     if gen is not None:
         return pure_generator(gen).letters, exp
-    if base.startswith("s") and base[1:].isdigit():
+    if base.startswith("s") and base[1:].isdecimal():  # the digits int() reads
         i = int(base[1:])
         if not 1 <= i <= strands - 1:
             raise BraidError(f"generator index {i} out of range for {strands} strands")

@@ -142,7 +142,7 @@ def _generate_loop(spec: str, frames: int | None) -> loops.ConfigLoop:
     if name == "gamma" and key == "k":
         return loops.make_gamma_loop(value, frames)
     if name == "h" and key == "n":
-        return loops.make_h_loop(value, frames) if frames else loops.make_h_loop(value)
+        return loops.make_h_loop(value) if frames is None else loops.make_h_loop(value, frames)
     raise _UsageError(f"unknown loop spec {spec!r}")
 
 
@@ -170,8 +170,7 @@ def _cmd_analyze_loop(args: argparse.Namespace) -> int:
         obj["braid_word"] = braids.format_word(word)
         obj["normal_form"] = braids.format_form(form)
         if args.compare is not None:
-            target = braids.parse_word(args.compare, loop.k)
-            same = braids.equal_in_braid(word, target)
+            same = form == braids.garside_normal_form(braids.parse_word(args.compare, loop.k))
             lines.append("equal" if same else "not equal")
             obj["compare"] = "equal" if same else "not equal"
     if args.winding:

@@ -11,16 +11,18 @@ rejects any letter but (generator, +1 or -1).  Coset enumeration is plain HLT
 (scan-and-fill every relator from every live coset in creation order) with a
 union-find coincidence queue; hitting the coset cap is a normal outcome
 reported in the table status, not an error.  A complete table is returned
-only after a closing check walks its rows: no gaps, every relator closes from
-every coset, the subgroup words fix coset 0.
-Smith normal form works over unbounded Python integers with
-minimal-absolute-value pivoting.
+only after a closing check walks its rows: every entry is a coset index,
+column c^1 inverts column c, every relator closes from every coset, the
+subgroup words fix coset 0.
+Smith normal form is one re-pivoting loop over unbounded Python integers:
+the invariant factors are unique, so any pivot order gives the same answer.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import Callable, Iterator, Mapping, TypeVar
 
@@ -288,21 +290,40 @@ class CosetTable:
         return len(self.table)
 
     def trace(self, word: Word, start: int = 0) -> int | None:
-        """Follow the word through the table; None if it runs off a gap."""
-        cur: int | None = start
+        """Follow the word through the table; None if it runs off a gap.
+
+        Raises PresentationError when the walk meets something that is not a
+        coset index, or a row without one entry per column."""
+        cur = start
         for c in _columns(self.presentation.generators, (word,))[0]:
+            cur = self._row(cur)[c]
             if cur is None:
                 return None
-            cur = self.table[cur][c]
+        self._row(cur)
         return cur
 
+    def _row(self, x: object) -> tuple[int | None, ...]:
+        if type(x) is not int or not 0 <= x < self.num_cosets:
+            raise PresentationError(f"{x!r} is not a coset index of this table")
+        if len(self.table[x]) != 2 * len(self.presentation.generators):
+            raise PresentationError(f"row {x} does not have one entry per column")
+        return self.table[x]
+
     def verify(self) -> bool:
-        """Full consistency check: the table is closed, every relator scans to
-        closure from every coset, and the subgroup words fix coset 0."""
-        if self.status != "complete" or any(None in row for row in self.table):
-            return False
+        """Full consistency check: every row holds one coset index per column,
+        column c^1 inverts column c, every relator scans to closure from
+        every coset, and the subgroup words fix coset 0."""
         rows = self.table
         cosets = list(range(self.num_cosets))
+        width = 2 * len(self.presentation.generators)
+        if (
+            self.status != "complete"
+            or any(len(row) != width for row in rows)
+            or not {int}.issuperset(map(type, chain.from_iterable(rows)))
+            or not set(cosets).issuperset(chain.from_iterable(rows))
+            or any([rows[rows[x][c]][c ^ 1] for x in cosets] != cosets for c in range(width))
+        ):
+            return False
         for cols in _columns(self.presentation.generators, self.presentation.relators):
             ends = cosets  # walk every coset at once, one column per letter
             for c in cols:
@@ -501,68 +522,36 @@ class AbelianInvariants:
 def smith_normal_form(m: IntegerMatrix) -> tuple[int, ...]:
     """Nonzero invariant factors d_1 | d_2 | ... of the integer matrix.
 
-    Minimal-absolute-value pivoting with Euclidean row/column elimination over
-    unbounded integers; a final pass per pivot enforces that it divides the
-    remaining submatrix.
+    One re-pivoting loop over the nonzero rows, in unbounded integers: move
+    an entry of least |value| to the pivot (0, 0) and reduce the pivot's
+    column and row by it.  A remainder left is smaller than the pivot, so
+    pick again; if the pivot does not divide a later row, add that row to
+    the pivot row, whose remainder the next pick then brings out.  Otherwise
+    the pivot is the next invariant factor and its row and column go.
     """
-    a = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
+    a = [list(row) for row in m.entries if any(row)]
     invariants: list[int] = []
-    t = 0
-    while t < min(nrows, ncols):
-        piv = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, piv = v, (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
+    while a:
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        top, p = a[0], a[0][0]
+        for row in a[1:]:
+            q = row[0] // p
+            row[:] = [x - q * y for x, y in zip(row, top)]
+        for c in range(1, len(top)):
+            q = top[c] // p
             for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            swapped = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(t, ncols):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:  # remainder beats the pivot
-                        a[t], a[i] = a[i], a[t]
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for i in range(t, nrows):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        swapped = True
-                        break
-            if swapped:
-                continue
-            offender = None
-            for i in range(t + 1, nrows):
-                if any(a[i][j] % a[t][t] for j in range(t + 1, ncols)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            for j in range(t, ncols):
-                a[t][j] += a[offender][j]
-        if a[t][t] < 0:
-            for j in range(t, ncols):
-                a[t][j] = -a[t][j]
-        invariants.append(a[t][t])
-        t += 1
+                row[c] -= q * row[0]
+        if any(top[1:]) or any(row[0] for row in a[1:]):
+            continue
+        offender = next((row for row in a[1:] if any(x % p for x in row)), None)
+        if offender is not None:
+            top[:] = [x + y for x, y in zip(top, offender)]
+            continue
+        invariants.append(abs(p))
+        a = [row[1:] for row in a[1:] if any(row[1:])]
     return tuple(invariants)
 
 

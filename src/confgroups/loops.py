@@ -25,14 +25,14 @@ decompose into disjoint uniform-sign blocks.
 
 Per-frame work runs as numpy operations over the whole frame axis: reading
 the JSON coordinates, the finiteness and pairwise-distance checks (in chunks
-of _CHUNK_FRAMES frames, so temporaries stay bounded), the span SVDs, the
-determinants and their Hadamard floors, the determinant phase increments,
-the real-part tie test and the real-part order of every frame.  Python loops
-remain only where single frames or steps need individual treatment: nudging
-a tied frame off its tie, reading the letters of a step whose real-part
-order changes (a step whose order is unchanged has no crossings), refining
-a determinant step whose increment reaches pi/2, and matching the end frames
-as point sets.
+of about _CHUNK_PAIR_ENTRIES pair coordinates, so temporaries stay bounded
+whatever k and n), the span SVDs, the determinants and their Hadamard
+floors, the determinant phase increments, the real-part tie test and the
+real-part order of every frame.  Python loops remain only where single
+frames or steps need individual treatment: nudging a tied frame off its tie,
+reading the letters of a step whose real-part order changes (a step whose
+order is unchanged has no crossings), refining a determinant step whose
+increment reaches pi/2, and matching the end frames as point sets.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ _SPAN_TOL = 1e-8
 _DET_FLOOR = 1e-12
 _CLOSURE_TOL = 1e-6
 _BISECT_SPLITS = (0.5, 0.25, 0.75, 0.125, 0.875, 0.0625, 0.9375, 0.03125)
-_CHUNK_FRAMES = 256
+_CHUNK_PAIR_ENTRIES = 256 * 15 * 6  # pair coordinates of 256 frames at k = n = 6
+_MAX_COORDINATES = 10**7  # frames * k * n of a generated loop: 160 MB of complex
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +110,9 @@ def _first_coincident_frame(frames: np.ndarray, scale: float, margin: float) -> 
     Coordinates are measured in units of scale (at least the largest
     coordinate modulus), so differences and their squares cannot overflow."""
     iu, ju = np.triu_indices(frames.shape[1], 1)
-    for start in range(0, frames.shape[0], _CHUNK_FRAMES):
-        chunk = frames[start : start + _CHUNK_FRAMES] / scale
+    step = max(1, _CHUNK_PAIR_ENTRIES // max(1, iu.size * frames.shape[2]))
+    for start in range(0, frames.shape[0], step):
+        chunk = frames[start : start + step] / scale
         dist = np.sqrt(np.sum(np.abs(chunk[:, iu] - chunk[:, ju]) ** 2, axis=-1))
         bad = np.flatnonzero(np.any(dist <= margin, axis=1))
         if bad.size:
@@ -183,6 +185,11 @@ def span_reports(loop: ConfigLoop, tol: float = _SPAN_TOL) -> list[SpanReport]:
 # named loops
 
 
+def _check_coordinate_budget(frames: int, k: int, n: int) -> None:
+    if frames * k * n > _MAX_COORDINATES:
+        raise LoopError(f"{frames} x {k} x {n} coordinates exceed the limit of {_MAX_COORDINATES}")
+
+
 def make_gamma_loop(k: int, frames: int | None = None) -> ConfigLoop:
     """Points z, 2z, ..., kz on a rotating line through 0, embedded in C^2
     (second coordinate 0); one full counterclockwise turn of z."""
@@ -192,6 +199,7 @@ def make_gamma_loop(k: int, frames: int | None = None) -> ConfigLoop:
     count = floor if frames is None else frames
     if count < floor:
         raise LoopError(f"resolution below floor: need at least {floor} frames for k={k}")
+    _check_coordinate_budget(count, k, 2)
     ts = np.arange(count) / (count - 1)
     z = np.exp(2j * np.pi * ts)
     arr = np.zeros((count, k, 2), dtype=complex)
@@ -208,6 +216,7 @@ def make_h_loop(n: int, frames: int = 64) -> ConfigLoop:
         raise LoopError("need n >= 1")
     if frames < 64:
         raise LoopError(f"resolution below floor: need at least 64 frames, got {frames}")
+    _check_coordinate_budget(frames, n + 1, n)
     ts = np.arange(frames) / (frames - 1)
     z = np.exp(2j * np.pi * ts)
     arr = np.zeros((frames, n + 1, n), dtype=complex)

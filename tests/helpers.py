@@ -8,7 +8,10 @@ against these, never the other way around.  The letter-at-a-time pair
 renormalisation and reduced words, the one-letter-per-factor combing and the
 frame-by-frame loop functions are the references for the package's Garside
 kernel, identity-free combing and batched loop layer; the name-based coset
-table walk at the end is the reference for the column-based closing check.
+table walk is the reference for the column-based closing check.  The last
+section keeps two earlier package paths as references for their
+replacements: word-problem equality by one normal form of u v^-1, and the
+three-phase Smith normal form.
 """
 
 from __future__ import annotations
@@ -414,3 +417,89 @@ def reference_verify(table) -> bool:
             if reference_trace(table, rel, c) != c:
                 return False
     return all(reference_trace(table, w, 0) == 0 for w in table.subgroup)
+
+
+# ---------------------------------------------------------------------------
+# earlier package paths: equality by the normal form of u v^-1 (the package
+# now compares the canonical forms of u and v), and the three-phase Smith
+# normal form (now one re-pivoting loop).
+
+
+def reference_uv_inverse_equal(d, u, v) -> bool:
+    """Equality in a braid-family group: u v^-1 normalises to the identity,
+    up to an even Delta power when the tag kills Delta^2."""
+    from confgroups import braids, groups
+
+    convert = groups._require_pure_word if d.tag.startswith("pure") else groups._require_braid_word
+    form = braids.garside_normal_form(braids.multiply(convert(d, u), braids.inverse(convert(d, v))))
+    kill_delta_sq = d.tag in ("braid_mod_delta_sq", "pure_braid_mod_D")
+    delta_power = form.delta_power & 1 if kill_delta_sq else form.delta_power
+    return delta_power == 0 and not form.factors
+
+
+def reference_smith_normal_form(m) -> tuple[int, ...]:
+    """Nonzero invariant factors d_1 | d_2 | ... of the integer matrix.
+
+    Minimal-absolute-value pivoting with Euclidean row/column elimination over
+    unbounded integers; a final pass per pivot enforces that it divides the
+    remaining submatrix.
+    """
+    a = [list(r) for r in m.entries]
+    nrows, ncols = m.rows, m.cols
+    invariants: list[int] = []
+    t = 0
+    while t < min(nrows, ncols):
+        piv = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best, piv = v, (i, j)
+        if piv is None:
+            break
+        pi, pj = piv
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            swapped = False
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    for j in range(t, ncols):
+                        a[i][j] -= q * a[t][j]
+                    if a[i][t]:  # remainder beats the pivot
+                        a[t], a[i] = a[i], a[t]
+                        swapped = True
+                        break
+            if swapped:
+                continue
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    for i in range(t, nrows):
+                        a[i][j] -= q * a[i][t]
+                    if a[t][j]:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+                        swapped = True
+                        break
+            if swapped:
+                continue
+            offender = None
+            for i in range(t + 1, nrows):
+                if any(a[i][j] % a[t][t] for j in range(t + 1, ncols)):
+                    offender = i
+                    break
+            if offender is None:
+                break
+            for j in range(t, ncols):
+                a[t][j] += a[offender][j]
+        if a[t][t] < 0:
+            for j in range(t, ncols):
+                a[t][j] = -a[t][j]
+        invariants.append(a[t][t])
+        t += 1
+    return tuple(invariants)

@@ -211,6 +211,10 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1
     assert "over the limit" in err
 
+    code, _, err = run(capsys, "normalize", "--k", "3", "s²")  # a digit int() cannot read
+    assert code == 1
+    assert "unrecognised word token 's²'" in err
+
     code, _, err = run(capsys, "equal", "--group", "integers", "x", "h")
     assert code == 1
 
@@ -235,3 +239,17 @@ def test_domain_errors_exit_1(capsys):
     code, _, err = run(capsys, "abelianize", "--presentation", "pure_braid:10000")
     assert code == 1
     assert "relator letters" in err
+
+
+def test_generated_loop_frames_and_size_limit(capsys):
+    # --frames 0 is passed through and refused, as for gamma
+    for spec in ("h:n=2", "gamma:k=3"):
+        code, _, err = run(capsys, "analyze-loop", "--generate", spec, "--frames", "0", "--span")
+        assert code == 1
+        assert "resolution below floor" in err
+    # sizes of at least 10**15 elements are refused before numpy allocates them
+    for extra in (["h:n=2", "--frames", str(10**15)], ["gamma:k=3", "--frames", str(10**15)],
+                  ["gamma:k=100000000"], ["h:n=100000000"]):
+        code, _, err = run(capsys, "analyze-loop", "--generate", *extra, "--span")
+        assert code == 1
+        assert "coordinates exceed the limit of 10000000" in err

@@ -4,21 +4,27 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from confgroups import fpgroups
 from confgroups.braids import (
     _MAX_LETTERS,
+    BraidError,
     BraidWord,
     PureGeneratorId,
     equal_in_braid,
     garside_normal_form,
     inverse as braid_inverse,
     multiply as braid_multiply,
+    parse_pure_word,
+    parse_word,
     pure_generator,
 )
 from confgroups.fpgroups import (
     AbelianInvariants,
+    CosetTable,
     IntegerMatrix,
     Presentation,
     PresentationError,
@@ -286,6 +292,23 @@ def test_trace_walks_the_table():
         assert table.trace(rel, 3) == 3
 
 
+def test_malformed_coset_tables_fail_the_check_and_the_walk():
+    p = Presentation(("a",), ())
+    a = (("a", 1),)
+    # an entry past the last coset, a row without an inverse column, and
+    # columns that do not invert each other
+    for rows in (((5, 5),), ((0,),), ((1, 0), (0, 1))):
+        assert not CosetTable(p, (), "complete", rows).verify()
+    far = CosetTable(p, (), "complete", ((5, 5),))
+    for word, start in ((a, 3), ((), 3), ((), -1), (a, 0)):
+        with pytest.raises(PresentationError, match="is not a coset index"):
+            far.trace(word, start)
+    with pytest.raises(PresentationError, match="one entry per column"):
+        CosetTable(p, (), "complete", ((0,),)).trace(a)
+    one = CosetTable(p, (), "complete", ((0, 0),))
+    assert one.verify() and one.trace(a * 3) == 0
+
+
 def test_max_cosets_validation():
     with pytest.raises(PresentationError):
         todd_coxeter(builtin_presentation("artin", 3), max_cosets=0)
@@ -394,6 +417,24 @@ def test_smith_against_minor_gcd_oracle():
             assert b % a == 0
 
 
+def test_smith_matches_three_phase_reference():
+    rng = random.Random(24)
+    for _ in range(400):
+        nr, nc = rng.randint(0, 12), rng.randint(0, 12)
+        bound, density = rng.choice((1, 3, 40, 10**12)), rng.random()
+        rows = [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        m = IntegerMatrix.from_rows(rows, cols=nc)
+        assert smith_normal_form(m) == helpers.reference_smith_normal_form(m)
+    names = ("artin", "braid_mod_delta_sq", "unordered_top", "pure_braid", "pure_braid_mod_D")
+    for name in names:
+        for k in range(2, 13):
+            m = relator_matrix(builtin_presentation(name, k))
+            assert smith_normal_form(m) == helpers.reference_smith_normal_form(m), (name, k)
+
+
 def test_smith_handles_entry_growth():
     # rectangular with mixed signs; compare against the oracle meaning
     rng = random.Random(22)
@@ -469,3 +510,28 @@ def test_abelianization_invariant_under_tietze_moves():
         for _ in range(25):
             assert abelianization(_add_redundant_relator(p, rng)) == target
             assert abelianization(_add_defined_generator(p, rng)) == target
+
+
+# ---------------------------------------------------------------------------
+# text fuzzing: only typed errors escape the word and presentation parsers
+
+_TEXT = st.text(alphabet="sa[],^-0123 delta\tgnrSA:;_²٣", max_size=30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_TEXT, st.builds("gens: {} ; rels: {}".format, _TEXT, _TEXT)), st.integers(1, 5))
+@example("s²", 3)
+@example("a[٣,4]^٣ s٣^-²", 5)
+@example("gens: s², s ; rels: S² s", 3)
+def test_text_parsers_raise_only_typed_errors(text, size):
+    parsers = (
+        lambda: parse_word(text, size),
+        lambda: parse_pure_word(text, size),
+        lambda: parse_abstract_word(text, ("a", "s1", "s²")),
+        lambda: parse_presentation(text),
+    )
+    for parse in parsers:
+        try:
+            parse()
+        except (BraidError, PresentationError):
+            pass

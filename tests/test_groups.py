@@ -313,6 +313,30 @@ def test_relator_insertion_congruence(tag, parameter):
         assert element_from_word(d, w).payload == element_from_word(d, v).payload
 
 
+def test_equality_matches_the_uv_inverse_reference():
+    # equal pairs by relator insertion (Delta^2 and D are relators of the
+    # quotients); unequal ones by one more letter or a fresh word
+    rng = random.Random(29)
+    for tag in ("braid", "pure_braid", "braid_mod_delta_sq", "pure_braid_mod_D"):
+        verdicts = set()
+        for parameter in (3, 4, 5):
+            d = descriptor_for(tag, parameter)
+            for _ in range(40):
+                u = _random_word_for(d, rng, rng.randrange(0, 10))
+                v = u
+                for _ in range(rng.randrange(1, 4)):
+                    v = _insert_relator_word(d, v, rng)
+                if rng.random() < 0.3:
+                    v = _random_word_for(d, rng, rng.randrange(0, 10))
+                elif rng.random() < 0.3:
+                    letter = _random_word_for(d, rng, 1)
+                    v = multiply(v, letter) if isinstance(v, BraidWord) else v + letter
+                got = equal_in_group(d, u, v)
+                assert got == helpers.reference_uv_inverse_equal(d, u, v), (tag, u, v)
+                verdicts.add(got)
+        assert verdicts == {True, False}, tag
+
+
 def test_identity_words():
     for tag, parameter in [
         ("trivial", 0),

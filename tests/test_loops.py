@@ -1,6 +1,7 @@
 """Sampled configuration loops: span checks, braid extraction, det winding."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,8 +90,9 @@ def test_non_finite_coordinates_are_rejected():
 
 
 def test_coincident_frame_index_across_chunks():
-    base = make_gamma_loop(3, 3 * loops._CHUNK_FRAMES + 5).frames
-    for bad in (1, loops._CHUNK_FRAMES - 1, loops._CHUNK_FRAMES, 2 * loops._CHUNK_FRAMES + 3):
+    chunk = loops._CHUNK_PAIR_ENTRIES // (3 * 2)  # frames per chunk: 3 pairs in C^2
+    base = make_gamma_loop(3, 3 * chunk + 5).frames
+    for bad in (1, chunk - 1, chunk, 2 * chunk + 3):
         arr = base.copy()
         arr[bad, 2] = arr[bad, 1]
         arr[bad + 2, 0] = arr[bad + 2, 1]
@@ -192,6 +194,19 @@ def test_h_constructor():
         make_h_loop(2, 63)
     with pytest.raises(LoopError):
         make_h_loop(0)
+
+
+def test_coincidence_check_memory_follows_the_pair_budget():
+    # 256 frames of 200 points on a line: 0.78 MB of coordinates, 19900 pairs a frame
+    line = np.arange(200) * (1 + 0.5j)
+    frames = np.broadcast_to(line[None, :, None], (256, 200, 1)).copy()
+    tracemalloc.start()
+    try:
+        ConfigLoop(200, 1, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +476,7 @@ def _random_h_loops(seed, count):
 def test_batched_braid_extraction_matches_per_frame_reference():
     cases = [
         (make_gamma_loop(3), {}),
-        (make_gamma_loop(4, 3 * loops._CHUNK_FRAMES + 7), {}),  # ties, several chunks
+        (make_gamma_loop(4, 775), {}),  # ties
         (_half_turn(+1), {}),
         (_half_turn(-1, 129), {}),
         (_full_turn(), {}),
@@ -482,7 +497,7 @@ def test_batched_braid_extraction_matches_per_frame_reference():
 
 def test_batched_span_and_winding_match_per_frame_reference():
     collinear = _loop_from_points(3, 2, [[[0, 0], [1, 0], [2, 0]]] * 4)
-    cases = [make_h_loop(2), make_h_loop(3, 3 * loops._CHUNK_FRAMES + 7), make_gamma_loop(3),
+    cases = [make_h_loop(2), make_h_loop(3, 775), make_gamma_loop(3),
              collinear, _loop_from_points(1, 2, [[[0, 0]], [[1j, 0]], [[0, 0]]])]
     cases += _random_h_loops(11, 80) + _random_line_loops(13, 10)
     windings = set()
