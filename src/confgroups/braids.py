@@ -18,12 +18,13 @@ Conventions, fixed once and used everywhere:
   where a[i,j] expands to the standard pure-braid generator word and delta to
   the staircase.
 
-The kernel is a handful of pure functions on 0-indexed permutation tuples,
-each standing for the positive permutation braid A(p).  A word becomes one
-raw factor per letter (s_i^-1 as Delta^-1 times a complement, the Delta's
-pushed to the front); _normalise combs the factors left-weighted with
-_renorm, which moves letters across one pair, and _reduced_word spells a
-factor back.  _renorm's bounded LRU cache is the only memo.
+The kernel is a handful of pure functions on permutation image tuples, the
+very Permutation.images of the forms it returns, each standing for the
+positive permutation braid A(p).  A word becomes one raw factor per letter
+(s_i^-1 as Delta^-1 times a complement, the Delta's pushed to the front);
+_normalise combs the factors left-weighted with _renorm, which moves letters
+across one pair, and _reduced_word spells a factor back.  _renorm's bounded
+LRU cache is the only memo.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "images", tuple(self.images))  # the kernel's tuple form
         if self.size < 1 or sorted(self.images) != list(range(1, self.size + 1)):
             raise BraidError(f"not a permutation of 1..{self.size}: {self.images!r}")
 
@@ -68,10 +70,7 @@ class Permutation:
         return Permutation(self.size, tuple(other.images[v - 1] for v in self.images))
 
     def inverse(self) -> Permutation:
-        out = [0] * self.size
-        for x, v in enumerate(self.images, start=1):
-            out[v - 1] = x
-        return Permutation(self.size, tuple(out))
+        return Permutation(self.size, _invert(self.images))
 
     def inversions(self) -> int:
         """Coxeter length: the number of out-of-order pairs."""
@@ -142,18 +141,15 @@ class GarsideForm:
 
     def __post_init__(self) -> None:
         k = self.strands
-        trivial = (tuple(range(k)), tuple(range(k - 1, -1, -1)))
-        lowered = []
+        trivial = (tuple(range(1, k + 1)), tuple(range(k, 0, -1)))
         for f in self.factors:
             if f.size != k:
                 raise BraidError("factor size differs from strand count")
-            low = _lower(f)
-            if low in trivial:
+            if f.images in trivial:
                 raise BraidError("factors may not contain the identity or the half twist")
-            lowered.append(low)
-        for x, y in zip(lowered, lowered[1:]):
+        for x, y in zip(self.factors, self.factors[1:]):
             # left-weighted: every letter that starts y finishes x
-            if _renorm(x, y)[0] != x:
+            if _renorm(x.images, y.images)[0] != x.images:
                 raise BraidError("factor sequence is not left-weighted")
 
     def is_identity(self) -> bool:
@@ -167,27 +163,19 @@ class GarsideForm:
 
 
 # ---------------------------------------------------------------------------
-# permutation kernel: raw 0-indexed tuples, composition left to right
+# permutation kernel: image tuples of {1, ..., k}, composition left to right
 
 
 def _invert(p) -> tuple[int, ...]:
     out = [0] * len(p)
-    for x, v in enumerate(p):
-        out[v] = x
+    for x, v in enumerate(p, start=1):
+        out[v - 1] = x
     return tuple(out)
 
 
-def _lower(p: Permutation) -> tuple[int, ...]:
-    return tuple(v - 1 for v in p.images)
-
-
-def _lift(p: tuple[int, ...], size: int) -> Permutation:
-    return Permutation(size, tuple(v + 1 for v in p))
-
-
 def _swap(i: int, k: int) -> tuple[int, ...]:
-    """The generator s_i (1-indexed) on k strands."""
-    return tuple(range(i - 1)) + (i, i - 1) + tuple(range(i + 1, k))
+    """The generator s_i on k strands."""
+    return tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, k + 1))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -225,7 +213,7 @@ def _normalise(factors: list[tuple[int, ...]], k: int) -> tuple[int, list[tuple[
     place a left-weighted sequence holds them, are popped.  Returns the
     number of leading half twists stripped off and the remaining factors.
     """
-    identity, half_twist = tuple(range(k)), tuple(range(k - 1, -1, -1))
+    identity, half_twist = tuple(range(1, k + 1)), tuple(range(k, 0, -1))
     fs: list[tuple[int, ...]] = []
     for f in factors:
         if f == identity:
@@ -246,7 +234,10 @@ def _normalise(factors: list[tuple[int, ...]], k: int) -> tuple[int, list[tuple[
 
 def _reduced_word(p: tuple[int, ...]) -> list[int]:
     """A reduced word for A(p) (1-indexed letters), peeling the lowest
-    starting letter s(i+1), p[i] > p[i+1], until the identity is left."""
+    starting letter s(i+1), p[i] > p[i+1], until the identity is left.
+
+    Only the relative order of the entries is read, so p may hold any
+    distinct values, such as the 0-based rank permutations of loops."""
     q, out = list(p), []
     i = 0
     while i < len(q) - 1:
@@ -325,7 +316,7 @@ def garside_normal_form(u: BraidWord) -> GarsideForm:
     # the factors the word uses are built.
     factor = {(i, s): _swap(i, k)[::s] for i, s in set(letters)}
     lead, fs = _normalise([factor[x] for x in reversed(letters)], k)
-    return GarsideForm(k, dp + lead, tuple(_lift(f, k) for f in fs))
+    return GarsideForm(k, dp + lead, tuple(Permutation(k, f) for f in fs))
 
 
 def equal_in_braid(u: BraidWord, v: BraidWord) -> bool:
@@ -337,10 +328,10 @@ def equal_in_braid(u: BraidWord, v: BraidWord) -> bool:
 def permutation_image(u: BraidWord) -> Permutation:
     """The underlying permutation (signs ignored), a homomorphism onto Sigma_k."""
     # following s_i swaps entries i-1, i of the inverse image
-    inv = list(range(u.strands))
+    inv = list(range(1, u.strands + 1))
     for i, _ in u.letters:
         inv[i - 1], inv[i] = inv[i], inv[i - 1]
-    return _lift(_invert(inv), u.strands)
+    return Permutation(u.strands, _invert(inv))
 
 
 def exponent_sum(u: BraidWord) -> int:
@@ -356,7 +347,7 @@ def spell_form(form: GarsideForm) -> BraidWord:
         return BraidWord(1)
     letters = list(_power_letters(delta_word(k).letters, form.delta_power))
     for f in form.factors:
-        letters += [(i, 1) for i in _reduced_word(_lower(f))]
+        letters += [(i, 1) for i in _reduced_word(f.images)]
     return BraidWord(k, tuple(letters))
 
 

@@ -152,8 +152,13 @@ def _cmd_analyze_loop(args: argparse.Namespace) -> int:
     if args.generate:
         loop = _generate_loop(args.generate, args.frames)
     else:
-        with open(args.file, encoding="utf-8") as fh:
-            loop = loops.loop_from_json_obj(json.load(fh))
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                loop = loops.loop_from_json_obj(json.load(fh))
+        except OSError as exc:
+            raise loops.LoopError(f"cannot read loop file {args.file!r}: {exc.strerror}") from None
+        except RecursionError:  # the JSON decoder recurses once per nesting level
+            raise loops.LoopError(f"loop file {args.file!r} nests too deeply") from None
 
     lines: list[str] = []
     obj: dict = {"k": loop.k, "n": loop.n, "frames": loop.num_frames}

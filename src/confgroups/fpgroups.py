@@ -333,6 +333,14 @@ class CosetTable:
         return all(self.trace(w) == 0 for w in self.subgroup)
 
 
+# Each definition first checks the coset table against this many entries,
+# counting a row as its 2g entries plus 16 for its list, index and final
+# renumbering: about 16 bytes an entry, so whatever max_cosets allows, an
+# enumeration raises PresentationError before it can exhaust memory.  The
+# default cap of 10**5 cosets fits up to 184 columns (pure_braid:12 has 132).
+_MAX_TABLE_ENTRIES = 2 * 10**7
+
+
 def todd_coxeter(
     p: Presentation, subgroup: tuple[Word, ...] = (), max_cosets: int = 10**5
 ) -> CosetTable:
@@ -340,7 +348,8 @@ def todd_coxeter(
 
     If the table closes within max_cosets total definitions the status is
     "complete" and the coset count is the subgroup index; otherwise the status
-    is "capped" and the table is the (compressed) partial table.
+    is "capped" and the table is the (compressed) partial table.  A table
+    that would outgrow _MAX_TABLE_ENTRIES raises PresentationError.
     """
     if max_cosets < 1:
         raise PresentationError("max_cosets must be at least 1")
@@ -361,6 +370,11 @@ def todd_coxeter(
         b = len(tab)
         if b >= max_cosets:
             return False  # at the cap: define nothing
+        if (b + 1) * (2 * g + 16) > _MAX_TABLE_ENTRIES:
+            raise PresentationError(
+                f"coset table of {b + 1} cosets x {2 * g} columns is over the limit "
+                f"of {_MAX_TABLE_ENTRIES} entries (16 per row for overhead)"
+            )
         tab.append([None] * (2 * g))
         parent.append(b)
         tab[a][c] = b
@@ -392,25 +406,9 @@ def todd_coxeter(
                 if back is None:
                     tab[z][c ^ 1] = u
                 else:
-                    bb = find(back)
-                    if bb == v:
-                        tab[z][c ^ 1] = u
-                    elif bb != u:
+                    bb = find(back)  # never v: v is no longer a root
+                    if bb != u:
                         queue.append((bb, u))
-
-    def set_edge(a: int, c: int, b: int) -> None:
-        t = tab[a][c]
-        if t is not None:
-            tt = find(t)
-            if tt != b:
-                coincidence(tt, b)
-            return
-        tab[a][c] = b
-        back = tab[b][c ^ 1]
-        if back is None:
-            tab[b][c ^ 1] = a
-        elif find(back) != a:
-            coincidence(find(back), a)
 
     def scan_and_fill(word_cols: tuple[int, ...], start: int) -> bool:
         """Scan the word from start back to start, defining cosets to bridge
@@ -429,8 +427,9 @@ def todd_coxeter(
                 if f != b:
                     coincidence(f, b)
                 return True
-            if fi == bi - 1:
-                set_edge(f, word_cols[fi], b)
+            if fi == bi - 1:  # both scans stopped at this one empty entry
+                tab[f][word_cols[fi]] = b
+                tab[b][word_cols[fi] ^ 1] = f
                 return True
             if not define(f, word_cols[fi]):
                 return False

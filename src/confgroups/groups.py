@@ -40,7 +40,6 @@ from .braids import (
     PureGeneratorId,
     _check_letter_budget,
     _invert,
-    _lift,
     exponent_sum,
     garside_normal_form,
     parse_pure_word,
@@ -175,10 +174,10 @@ def star_transposition(n_plus_1: int, i: int) -> Permutation:
 
 def _star_image(w: BraidWord) -> Permutation:
     # following the i-th star transposition swaps entries 0, i of the inverse image
-    inv = list(range(w.strands))
+    inv = list(range(1, w.strands + 1))
     for i, _ in w.letters:
         inv[0], inv[i] = inv[i], inv[0]
-    return _lift(_invert(inv), w.strands)
+    return Permutation(w.strands, _invert(inv))
 
 
 def _require_integer(d: GroupDescriptor, w: object) -> int:

@@ -171,6 +171,8 @@ def _span_singular_values(frames: np.ndarray) -> np.ndarray:
 def _span_dimensions(sv: np.ndarray, tol: float) -> np.ndarray:
     """Per frame, the number of singular values above tol relative to the
     largest; 0 when the largest is below an absolute floor or there is none."""
+    if not 0 <= tol < 1:  # also refuses NaN
+        raise LoopError(f"span tolerance must satisfy 0 <= tol < 1, got {tol}")
     top = sv[:, :1]
     return np.sum((sv > tol * top) & (top >= 1e-300), axis=1)
 
@@ -339,36 +341,27 @@ def _word_of_rank_perm(perm: tuple[int, ...], offset: int, sign: int):
 
 
 def _block_letters(pi: tuple[int, ...], crossings):
-    """Simultaneous crossings: split into rank-interval blocks; each block must
-    be uniform-sign and is emitted as a permutation braid on its interval."""
-    intervals = []
+    """Simultaneous crossings: cut the step permutation into its blocks, the
+    rank intervals that end where the running maximum of pi meets the rank.
+    Every crossing lies inside one block; each block's crossings must share
+    one sign, and the block is emitted as a permutation braid on its interval."""
+    signs_at: list[set[int]] = [set() for _ in pi]
     for _, (ra, rb), sign in crossings:
-        intervals.append((min(ra, rb), max(ra, rb), sign))
-    intervals.sort()
-    blocks: list[list[tuple[int, int, int]]] = []
-    for item in intervals:
-        if blocks and item[0] <= blocks[-1][-1][1]:
-            blocks[-1].append(item)
-        else:
-            blocks.append([item])
-    # merged greedily on sorted lows, so block hulls are pairwise disjoint
+        signs_at[min(ra, rb)].add(sign)
     letters: list[tuple[int, int]] = []
-    for block in blocks:
-        lo = min(a for a, _, _ in block)
-        hi = max(b for _, b, _ in block)
-        signs = {s for _, _, s in block}
-        if len(signs) != 1:
+    lo, top, signs = 0, 0, set()
+    for r, v in enumerate(pi):
+        top, signs = max(top, v), signs | signs_at[r]
+        if top > r:
+            continue
+        if len(signs) > 1:
             raise CoarseFramesError(
                 "simultaneous crossings of opposite sign share a rank interval; "
                 "increase the frame count"
             )
-        if sorted(pi[r] for r in range(lo, hi + 1)) != list(range(lo, hi + 1)):
-            raise CoarseFramesError(
-                "crossing block does not close under the step permutation; "
-                "increase the frame count"
-            )
-        sub = tuple(pi[r] - lo for r in range(lo, hi + 1))
-        letters += _word_of_rank_perm(sub, lo, signs.pop())
+        if signs:
+            letters += _word_of_rank_perm(pi[lo : r + 1], lo, signs.pop())
+        lo, signs = r + 1, set()
     return letters
 
 

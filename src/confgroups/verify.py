@@ -278,10 +278,8 @@ def _exact_sequence_claims(rng: random.Random) -> list[ClaimResult]:
 def _lift_of_image(w: _b.BraidWord, n: int) -> _b.BraidWord:
     """A reduced lift of tau(w) through the Artin-like generators."""
     d = _g.classify(n + 1, n, n, _g.UNORDERED)
-    perm = _g.tau(d, w)
-    lowered = tuple(v - 1 for v in perm.images)
     lift = _b.BraidWord(n + 1)
-    for idx in _b._reduced_word(lowered):
+    for idx in _b._reduced_word(_g.tau(d, w).images):
         lift = _b.multiply(lift, _g.sigma_prime(idx, n))
     return lift
 

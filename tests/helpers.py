@@ -187,8 +187,9 @@ def insert_word_relator(
 
 
 # ---------------------------------------------------------------------------
-# references for the Garside kernel, on 0-indexed permutation tuples.
-# reference_renorm and reference_word_of move one letter at a time by
+# references for the Garside kernel.  reference_renorm and reference_word_of
+# work on 0-indexed permutation tuples (the kernel on 1-based images, so the
+# tests shift their inputs); they move one letter at a time by
 # composing with adjacent transpositions, the letter-at-a-time kernel that
 # confgroups.braids._renorm and _reduced_word replace; they must agree exactly.
 
@@ -238,7 +239,7 @@ def reference_word_of(p: tuple[int, ...]) -> list[int]:
 def reference_normalise(factors, k):
     from confgroups.braids import _renorm
 
-    identity, half_twist = tuple(range(k)), tuple(range(k - 1, -1, -1))
+    identity, half_twist = tuple(range(1, k + 1)), tuple(range(k, 0, -1))
     fs = list(factors)
     for t in range(len(fs) - 1):
         p, q = _renorm(fs[t], fs[t + 1])

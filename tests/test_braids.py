@@ -235,6 +235,13 @@ def test_garside_form_shape_is_enforced():
     # the greedy form of s1 s1 s2 really is two factors, s1 then s1s2
     nf = garside_normal_form(parse_word("s1 s1 s2", 3))
     assert nf == GarsideForm(3, 0, (s1, Permutation(3, (3, 1, 2))))
+    # images given as lists are held as the tuples the kernel reads
+    assert Permutation(3, [2, 1, 3]) == s1
+    with pytest.raises(BraidError, match="identity or the half twist"):
+        GarsideForm(3, 0, (Permutation(3, [1, 2, 3]),))
+    assert GarsideForm(3, 0, (Permutation(3, [2, 1, 3]),) * 2) == garside_normal_form(
+        parse_word("s1 s1", 3)
+    )
 
 
 def _random_token_text(rng, k, max_letters):
@@ -278,17 +285,24 @@ def test_normal_form_matches_identity_combing_reference(monkeypatch):
     assert [garside_normal_form(w) for w in words] == forms
 
 
+def _one_based(*perms):
+    return tuple(tuple(v + 1 for v in p) for p in perms)
+
+
 def test_renorm_matches_letter_at_a_time_reference():
+    # the kernel works on 1-based images, the reference on 0-based tuples
     for k in range(1, 6):
         perms = list(itertools.permutations(range(k)))
         for p in perms:
             for q in perms:
-                assert braids._renorm(p, q) == helpers.reference_renorm(p, q)
+                expected = _one_based(*helpers.reference_renorm(p, q))
+                assert braids._renorm(*_one_based(p, q)) == expected
     rng = random.Random(15)
     for _ in range(5000):
         k = rng.randint(6, 12)
         p, q = tuple(rng.sample(range(k), k)), tuple(rng.sample(range(k), k))
-        assert braids._renorm(p, q) == helpers.reference_renorm(p, q)
+        expected = _one_based(*helpers.reference_renorm(p, q))
+        assert braids._renorm(*_one_based(p, q)) == expected
 
 
 def test_reduced_word_matches_reference():

@@ -1,13 +1,17 @@
 """Command-line interface: output text, JSON mode, exit codes."""
 
+import contextlib
+import io
 import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from confgroups.cli import main
+from confgroups.cli import _GROUP_NAMES, main
 from confgroups.loops import loop_to_json_obj, make_gamma_loop
 
 
@@ -253,3 +257,110 @@ def test_generated_loop_frames_and_size_limit(capsys):
         code, _, err = run(capsys, "analyze-loop", "--generate", *extra, "--span")
         assert code == 1
         assert "coordinates exceed the limit of 10000000" in err
+
+
+def test_unreadable_loop_files_and_bad_tolerances_exit_1(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, out, err = run(capsys, "analyze-loop", "--file", str(path), "--extract-braid")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"confgroups: error: cannot read loop file {str(path)!r}: ")
+        assert len(err.splitlines()) == 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "analyze-loop", "--file", str(deep), "--extract-braid")
+    assert (code, out) == (1, "")
+    assert err == f"confgroups: error: loop file {str(deep)!r} nests too deeply\n"
+    for tol in ("nan", "-1", "1", "inf"):
+        for action in ("--span", "--winding"):
+            code, out, err = run(
+                capsys, "analyze-loop", "--generate", "h:n=2", action, "--tol", tol
+            )
+            assert (code, out) == (1, "")
+            assert err == (
+                f"confgroups: error: span tolerance must satisfy 0 <= tol < 1, got {float(tol)}\n"
+            )
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every subcommand exits 0, 1 or 2 and nothing else escapes.
+# Sizes stay small (strands <= 8, builtin sizes <= 6, --max-cosets <= 1000,
+# frames <= 512) so no example builds a large word or table.
+
+_SMALL_INT = st.integers(-2, 8).map(str)
+_FUZZ_WORD = st.one_of(
+    st.sampled_from(["", "s1", "s1 s2^-1", "delta^2", "a[1,2] a[1,3]^-1", "h^3 H", "s9", "s²"]),
+    st.text(alphabet="sa[],^-12 hHdelt", max_size=6),
+)
+_PRESENTATION = st.sampled_from(
+    [f"{name}:{size}" for name in ("artin", "pure_braid", "pure_braid_mod_D",
+                                   "braid_mod_delta_sq", "unordered_top", "nonsense")
+     for size in ("1", "3", "6")]
+    + ["artin", "artin:x", "gens: a, b ; rels: a b A B", "gens: a ; rels: a a a", "gens: ; rels:"]
+)
+# per subcommand: option (or positional) -> its values, or None for a flag;
+# options in _USUAL are given nine times in ten, --file (which clashes with
+# --generate) once in ten, the others half the time
+_OPTIONS = {
+    "normalize": {"--k": _SMALL_INT, "--json": None, "word": _FUZZ_WORD},
+    "equal": {
+        "--group": st.sampled_from(sorted(_GROUP_NAMES) + ["bogus"]),
+        "--k": _SMALL_INT, "--n": st.integers(-1, 5).map(str), "--json": None,
+        "word1": _FUZZ_WORD, "word2": _FUZZ_WORD,
+    },
+    "classify": {
+        "--k": _SMALL_INT, "--i": _SMALL_INT, "--n": _SMALL_INT,
+        "--ordered": None, "--unordered": None, "--json": None,
+    },
+    "abelianize": {"--presentation": _PRESENTATION, "--json": None},
+    "enumerate": {
+        "--presentation": _PRESENTATION, "--json": None,
+        "--subgroup": st.sampled_from(["", "s1 s1", "a, b", "s1, s2 s2", "a[1,2]", "x"]),
+    },
+    "analyze-loop": {
+        "--generate": st.sampled_from(["gamma:k=2", "gamma:k=3", "gamma:k=8", "h:n=1",
+                                       "h:n=3", "gamma:k=-1", "h:n=x", "gamma", "x:k=3"]),
+        "--file": st.sampled_from(["no/such/loop.json", "."]),
+        "--frames": st.sampled_from(["-1", "0", "64", "200", "512", "x"]),
+        "--tol": st.sampled_from(["1e-8", "0", "0.5", "nan", "-1", "1", "inf", "x"]),
+        "--compare": _FUZZ_WORD,
+        "--extract-braid": None, "--winding": None, "--span": None, "--json": None,
+    },
+    "verify-paper": {"--max-k": st.sampled_from(["-1", "2", "3", "x"]), "--json": None},
+}
+_USUAL = {"--k", "--i", "--n", "--group", "--unordered", "--presentation", "--generate",
+          "word", "word1", "word2"}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    if command == "enumerate":
+        argv += ["--max-cosets", draw(st.sampled_from(["-1", "0", "1", "40", "1000"]))]
+    for name, values in _OPTIONS[command].items():
+        if draw(st.integers(0, 9)) < (9 if name in _USUAL else 1 if name == "--file" else 5):
+            if name.startswith("--"):
+                argv.append(name)
+            if values is not None:
+                argv.append(draw(values))
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--json", "--bogus", "x", "-k"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+@example(["analyze-loop", "--file", "no/such/loop.json", "--extract-braid"])
+@example(["analyze-loop", "--file", ".", "--extract-braid"])
+@example(["analyze-loop", "--generate", "h:n=2", "--span", "--tol", "nan"])
+def test_cli_argv_fuzz_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.getvalue().startswith("confgroups: error: "), argv

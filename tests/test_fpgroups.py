@@ -314,6 +314,25 @@ def test_max_cosets_validation():
         todd_coxeter(builtin_presentation("artin", 3), max_cosets=0)
 
 
+def test_coset_table_budget_refuses_oversized_enumerations(monkeypatch, capsys):
+    from confgroups.cli import main
+
+    # 400 entries hold 20 cosets of the free group on a, b: 4 columns and
+    # 16 for overhead per row
+    monkeypatch.setattr(fpgroups, "_MAX_TABLE_ENTRIES", 400)
+    free = Presentation(("a", "b"), ())
+    assert todd_coxeter(free, max_cosets=20).status == "capped"
+    with pytest.raises(PresentationError, match="21 cosets x 4 columns is over the limit"):
+        todd_coxeter(free, max_cosets=10**9)
+    assert todd_coxeter(parse_presentation("gens: a, b ; rels: a a a, b")).num_cosets == 3
+    argv = ["enumerate", "--presentation", "gens: a, b ; rels:", "--max-cosets", "1000000000"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "confgroups: error: coset table of 21 cosets x 4 columns is over the limit "
+        "of 400 entries (16 per row for overhead)\n"
+    )
+
+
 _BAD_LETTERS = (("z", 1), ("s1", 0), ("s1", 5), ("s1",), ("s1", 1, 1), 7)
 
 

@@ -156,6 +156,15 @@ def test_span_examples():
     assert span_dimension(np.array([[3 + 4j]], dtype=complex)) == 0
     tiny = np.array([[0, 0], [1e-301, 0]], dtype=complex)
     assert span_dimension(tiny) == 0  # below the absolute floor
+    assert span_dimension(collinear, 0.0) == 1
+    # a tolerance outside [0, 1) would count every or no singular value
+    for tol in (math.nan, -1.0, 1.0, math.inf):
+        with pytest.raises(LoopError, match="span tolerance"):
+            span_dimension(collinear, tol)
+        with pytest.raises(LoopError, match="span tolerance"):
+            span_reports(make_h_loop(2), tol)
+        with pytest.raises(LoopError, match="span tolerance"):
+            det_winding(make_h_loop(2), tol=tol)
 
 
 def test_span_reports_on_builtin_loops():
@@ -318,6 +327,20 @@ def test_coarse_frames_error_on_mixed_sign_simultaneous_crossings():
     loop = _loop_from_points(3, 1, [e, f, e])
     with pytest.raises(CoarseFramesError):
         extract_braid(loop, max_depth=4)
+
+
+def test_simultaneous_crossings_split_into_uniform_sign_blocks():
+    # every crossing happens at once: ranks 0..4 cross positively, ranks 5, 6
+    # negatively.  The step permutation (3, 1, 0, 4, 2, 6, 5) has exactly
+    # these two blocks; the crossing intervals inside the first overlap and nest
+    im = (0, 1, 2, 3, 4, 10, -10)
+    e = [[complex(x, y)] for x, y in zip(range(7), im)]
+    f = [[complex(x, y)] for x, y in zip((3, 1, 0, 4, 2, 6, 5), im)]
+    word = extract_braid(_loop_from_points(7, 1, [e, f, e]), max_depth=0)
+    step = parse_word("s1 s2 s1 s4 s3 s6^-1", 7)
+    assert word == multiply(step, parse_word("s1^-1 s3^-1 s2^-1 s1^-1 s4^-1 s6", 7))
+    assert permutation_image(step).images == (4, 2, 1, 5, 3, 7, 6)
+    assert garside_normal_form(word).is_identity()
 
 
 # ---------------------------------------------------------------------------
