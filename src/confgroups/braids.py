@@ -29,6 +29,7 @@ LRU cache is the only memo.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,7 +50,10 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))  # the kernel's tuple form
+        try:  # the kernel's tuple of ints: numpy ints and bools convert, floats do not
+            object.__setattr__(self, "images", tuple(map(operator.index, self.images)))
+        except TypeError:
+            raise BraidError(f"not a permutation of 1..{self.size}: {self.images!r}") from None
         if self.size < 1 or sorted(self.images) != list(range(1, self.size + 1)):
             raise BraidError(f"not a permutation of 1..{self.size}: {self.images!r}")
 

@@ -8,12 +8,13 @@ inverse letter, relators are comma-separated.
 Coset tables have one column per letter, generator t at 2t and its inverse at
 2t+1 (so ``c ^ 1`` is the inverse column); ``_columns`` is the one encoder and
 rejects any letter but (generator, +1 or -1).  Coset enumeration is plain HLT
-(scan-and-fill every relator from every live coset in creation order) with a
-union-find coincidence queue; hitting the coset cap is a normal outcome
-reported in the table status, not an error.  A complete table is returned
-only after a closing check walks its rows: every entry is a coset index,
-column c^1 inverts column c, every relator closes from every coset, the
-subgroup words fix coset 0.
+(scan-and-fill every relator from every live coset in creation order).  Only
+the coincidence queue sees merged cosets: it moves a dead coset's edges to its
+union-find representative, so every other reader takes live rows as they
+stand.  Hitting the coset cap is a normal outcome reported in the table
+status, not an error.  A complete table is returned only after a closing check
+walks its rows: every entry is a coset index, column c^1 inverts column c,
+every relator closes from every coset, the subgroup words fix coset 0.
 Smith normal form is one re-pivoting loop over unbounded Python integers:
 the invariant factors are unique, so any pivot order gives the same answer.
 """
@@ -382,6 +383,9 @@ def todd_coxeter(
         return True
 
     def coincidence(x: int, y: int) -> None:
+        """Merge x and y and every pair that merge forces, the smaller index
+        surviving.  Each dead coset's edges move to its representative or are
+        queued, so live rows name only live cosets and columns stay inverse."""
         queue = deque([(x, y)])
         while queue:
             u, v = queue.popleft()
@@ -390,38 +394,32 @@ def todd_coxeter(
                 continue
             if v < u:
                 u, v = v, u
-            parent[v] = u  # merge v into u; v's row is now stale
+            parent[v] = u
             for c in range(2 * g):
-                raw = tab[v][c]
-                if raw is None:
+                z = tab[v][c]
+                if z is None:
                     continue
-                z = find(raw)
-                if tab[u][c] is None:
+                tab[z][c ^ 1] = None  # the back-pointer to v
+                z = find(z)  # u when this is a loop edge at v
+                if tab[u][c] is not None:
+                    queue.append((tab[u][c], z))
+                elif tab[z][c ^ 1] is not None:
+                    queue.append((tab[z][c ^ 1], u))
+                else:
                     tab[u][c] = z
-                else:
-                    zz = find(tab[u][c])
-                    if zz != z:
-                        queue.append((zz, z))
-                back = tab[z][c ^ 1]
-                if back is None:
                     tab[z][c ^ 1] = u
-                else:
-                    bb = find(back)  # never v: v is no longer a root
-                    if bb != u:
-                        queue.append((bb, u))
 
     def scan_and_fill(word_cols: tuple[int, ...], start: int) -> bool:
         """Scan the word from start back to start, defining cosets to bridge
         gaps; returns False when the definition cap is hit."""
-        f = find(start)
-        b = f
+        f = b = start
         fi, bi = 0, len(word_cols)
         while True:
             while fi < bi and tab[f][word_cols[fi]] is not None:
-                f = find(tab[f][word_cols[fi]])
+                f = tab[f][word_cols[fi]]
                 fi += 1
             while bi > fi and tab[b][word_cols[bi - 1] ^ 1] is not None:
-                b = find(tab[b][word_cols[bi - 1] ^ 1])
+                b = tab[b][word_cols[bi - 1] ^ 1]
                 bi -= 1
             if fi == bi:
                 if f != b:
@@ -441,11 +439,11 @@ def todd_coxeter(
                 return False
         i = 0
         while i < len(tab):
-            if find(i) == i:
+            if parent[i] == i:
                 for rel in rel_cols:
                     if not scan_and_fill(rel, i):
                         return False
-                    if find(i) != i:
+                    if parent[i] != i:
                         break
                 else:  # i survived every relator: fill its row
                     for c in range(2 * g):
@@ -455,11 +453,9 @@ def todd_coxeter(
         return True
 
     capped = not enumerate_cosets()
-    live = [x for x in range(len(tab)) if find(x) == x]
+    live = [x for x in range(len(tab)) if parent[x] == x]
     renum = {x: t for t, x in enumerate(live)}
-    rows = tuple(
-        tuple(renum[find(entry)] if entry is not None else None for entry in tab[x]) for x in live
-    )
+    rows = tuple(tuple(renum[e] if e is not None else None for e in tab[x]) for x in live)
     result = CosetTable(p, tuple(subgroup), "capped" if capped else "complete", rows)
     if not capped and not result.verify():
         raise RuntimeError("coset table failed its closing consistency check")

@@ -336,15 +336,11 @@ def _resolve_frame_ties(zf: np.ndarray, margin: float) -> np.ndarray:
     return out
 
 
-def _word_of_rank_perm(perm: tuple[int, ...], offset: int, sign: int):
-    return [(idx + offset, sign) for idx in _reduced_word(perm)]
-
-
 def _block_letters(pi: tuple[int, ...], crossings):
-    """Simultaneous crossings: cut the step permutation into its blocks, the
-    rank intervals that end where the running maximum of pi meets the rank.
-    Every crossing lies inside one block; each block's crossings must share
-    one sign, and the block is emitted as a permutation braid on its interval."""
+    """A step's letters: cut the step permutation into its blocks, the rank
+    intervals that end where the running maximum of pi meets the rank.  Every
+    crossing lies inside one block; each block's crossings must share one
+    sign, and the block is emitted as a permutation braid on its interval."""
     signs_at: list[set[int]] = [set() for _ in pi]
     for _, (ra, rb), sign in crossings:
         signs_at[min(ra, rb)].add(sign)
@@ -360,7 +356,8 @@ def _block_letters(pi: tuple[int, ...], crossings):
                 "increase the frame count"
             )
         if signs:
-            letters += _word_of_rank_perm(pi[lo : r + 1], lo, signs.pop())
+            sign = signs.pop()
+            letters += [(idx + lo, sign) for idx in _reduced_word(pi[lo : r + 1])]
         lo, signs = r + 1, set()
     return letters
 
@@ -396,13 +393,9 @@ def _step_letters(E: np.ndarray, F: np.ndarray, k: int, margin: float, depth: in
             sign = 1 if gap > 0 else -1
             crossings.append((float(tstar), (int(rankE[p]), int(rankE[q])), sign))
 
-    if not crossings:
-        return []
     signs = {s for _, _, s in crossings}
-    if len(signs) == 1:
-        return _word_of_rank_perm(pi, 0, signs.pop())
     times = [t for t, _, _ in crossings]
-    if depth <= 0 or max(times) - min(times) < 2.0 ** -40:
+    if len(signs) < 2 or depth <= 0 or max(times) - min(times) < 2.0 ** -40:
         return _block_letters(pi, crossings)
     for split in _BISECT_SPLITS:
         mid = (1 - split) * E + split * F

@@ -9,9 +9,10 @@ renormalisation and reduced words, the one-letter-per-factor combing and the
 frame-by-frame loop functions are the references for the package's Garside
 kernel, identity-free combing and batched loop layer; the name-based coset
 table walk is the reference for the column-based closing check.  The last
-section keeps two earlier package paths as references for their
-replacements: word-problem equality by one normal form of u v^-1, and the
-three-phase Smith normal form.
+section keeps three earlier package paths as references for their
+replacements: word-problem equality by one normal form of u v^-1, the
+three-phase Smith normal form, and the Todd-Coxeter enumerator whose table
+readers resolved merged cosets with find.
 """
 
 from __future__ import annotations
@@ -422,8 +423,10 @@ def reference_verify(table) -> bool:
 
 # ---------------------------------------------------------------------------
 # earlier package paths: equality by the normal form of u v^-1 (the package
-# now compares the canonical forms of u and v), and the three-phase Smith
-# normal form (now one re-pivoting loop).
+# now compares the canonical forms of u and v), the three-phase Smith normal
+# form (now one re-pivoting loop), and the coset enumeration that left stale
+# entries for find to resolve (now only the coincidence queue sees merged
+# cosets).
 
 
 def reference_uv_inverse_equal(d, u, v) -> bool:
@@ -504,3 +507,130 @@ def reference_smith_normal_form(m) -> tuple[int, ...]:
         invariants.append(a[t][t])
         t += 1
     return tuple(invariants)
+
+
+def reference_todd_coxeter(p, subgroup=(), max_cosets: int = 10**5):
+    """HLT enumeration of the cosets of the given subgroup.
+
+    If the table closes within max_cosets total definitions the status is
+    "complete" and the coset count is the subgroup index; otherwise the status
+    is "capped" and the table is the (compressed) partial table.  A table
+    that would outgrow _MAX_TABLE_ENTRIES raises PresentationError.
+    """
+    from collections import deque
+
+    from confgroups.fpgroups import _MAX_TABLE_ENTRIES, CosetTable, PresentationError, _columns
+
+    if max_cosets < 1:
+        raise PresentationError("max_cosets must be at least 1")
+    g = len(p.generators)
+    rel_cols = _columns(p.generators, p.relators)
+    sub_cols = _columns(p.generators, subgroup)
+
+    tab: list[list[int | None]] = [[None] * (2 * g)]
+    parent = [0]
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def define(a: int, c: int) -> bool:
+        b = len(tab)
+        if b >= max_cosets:
+            return False  # at the cap: define nothing
+        if (b + 1) * (2 * g + 16) > _MAX_TABLE_ENTRIES:
+            raise PresentationError(
+                f"coset table of {b + 1} cosets x {2 * g} columns is over the limit "
+                f"of {_MAX_TABLE_ENTRIES} entries (16 per row for overhead)"
+            )
+        tab.append([None] * (2 * g))
+        parent.append(b)
+        tab[a][c] = b
+        tab[b][c ^ 1] = a
+        return True
+
+    def coincidence(x: int, y: int) -> None:
+        queue = deque([(x, y)])
+        while queue:
+            u, v = queue.popleft()
+            u, v = find(u), find(v)
+            if u == v:
+                continue
+            if v < u:
+                u, v = v, u
+            parent[v] = u  # merge v into u; v's row is now stale
+            for c in range(2 * g):
+                raw = tab[v][c]
+                if raw is None:
+                    continue
+                z = find(raw)
+                if tab[u][c] is None:
+                    tab[u][c] = z
+                else:
+                    zz = find(tab[u][c])
+                    if zz != z:
+                        queue.append((zz, z))
+                back = tab[z][c ^ 1]
+                if back is None:
+                    tab[z][c ^ 1] = u
+                else:
+                    bb = find(back)  # never v: v is no longer a root
+                    if bb != u:
+                        queue.append((bb, u))
+
+    def scan_and_fill(word_cols: tuple[int, ...], start: int) -> bool:
+        """Scan the word from start back to start, defining cosets to bridge
+        gaps; returns False when the definition cap is hit."""
+        f = find(start)
+        b = f
+        fi, bi = 0, len(word_cols)
+        while True:
+            while fi < bi and tab[f][word_cols[fi]] is not None:
+                f = find(tab[f][word_cols[fi]])
+                fi += 1
+            while bi > fi and tab[b][word_cols[bi - 1] ^ 1] is not None:
+                b = find(tab[b][word_cols[bi - 1] ^ 1])
+                bi -= 1
+            if fi == bi:
+                if f != b:
+                    coincidence(f, b)
+                return True
+            if fi == bi - 1:  # both scans stopped at this one empty entry
+                tab[f][word_cols[fi]] = b
+                tab[b][word_cols[fi] ^ 1] = f
+                return True
+            if not define(f, word_cols[fi]):
+                return False
+
+    def enumerate_cosets() -> bool:
+        """HLT to closure; False when the definition cap is hit."""
+        for w in sub_cols:
+            if not scan_and_fill(w, 0):
+                return False
+        i = 0
+        while i < len(tab):
+            if find(i) == i:
+                for rel in rel_cols:
+                    if not scan_and_fill(rel, i):
+                        return False
+                    if find(i) != i:
+                        break
+                else:  # i survived every relator: fill its row
+                    for c in range(2 * g):
+                        if tab[i][c] is None and not define(i, c):
+                            return False
+            i += 1
+        return True
+
+    capped = not enumerate_cosets()
+    live = [x for x in range(len(tab)) if find(x) == x]
+    renum = {x: t for t, x in enumerate(live)}
+    rows = tuple(
+        tuple(renum[find(entry)] if entry is not None else None for entry in tab[x]) for x in live
+    )
+    result = CosetTable(p, tuple(subgroup), "capped" if capped else "complete", rows)
+    if not capped and not result.verify():
+        raise RuntimeError("coset table failed its closing consistency check")
+    return result

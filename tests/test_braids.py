@@ -4,6 +4,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import helpers
@@ -73,6 +74,18 @@ def test_permutation_type():
     assert p.inversions() == 1
     with pytest.raises(BraidError):
         Permutation(3, (1, 1, 2))
+
+
+def test_permutation_images_are_ints():
+    # numpy ints and bools become Python ints; floats, strings and None are refused
+    for images in (np.array([2, 3, 1]), (np.int64(2), np.int64(3), True)):
+        p = Permutation(3, images)
+        assert all(type(v) is int for v in p.images)
+        assert p.compose(p.inverse()).is_identity()
+    assert str(Permutation(2, (True, 2))) == "1 2"
+    for images in ((2.0, 1.0), ("2", "1"), None, (1, None)):
+        with pytest.raises(BraidError, match="not a permutation of 1..2"):
+            Permutation(2, images)
 
 
 # ---------------------------------------------------------------------------
