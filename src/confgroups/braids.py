@@ -305,8 +305,6 @@ def garside_normal_form(u: BraidWord) -> GarsideForm:
     is left-weighted.
     """
     k = u.strands
-    if k == 1 or not u.letters:
-        return GarsideForm(k, 0, ())
     letters: list[tuple[int, int]] = []
     dp = 0
     for i, s in reversed(u.letters):

@@ -24,7 +24,7 @@ _GROUP_NAMES = {family.cli_name: tag for tag, family in groups._FAMILIES.items()
 
 
 def _emit(args: argparse.Namespace, human: str, obj: object) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(obj, sort_keys=True, indent=2))
     else:
         print(human)
@@ -190,18 +190,11 @@ def _cmd_analyze_loop(args: argparse.Namespace) -> int:
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
     report = paper_verification_suite(args.max_k)
-    if args.json:
-        print(json.dumps(report.to_json_obj(), sort_keys=True, indent=2))
-    else:
-        for r in report.results:
-            mark = "PASS" if r.status == "pass" else "FAIL"
-            print(f"{mark} {r.claim_id}: {r.witness}")
-        failed = sum(1 for r in report.results if r.status != "pass")
-        print(
-            f"all {len(report.results)} claims pass"
-            if not failed
-            else f"{failed} of {len(report.results)} claims FAILED"
-        )
+    lines = [f"{r.status.upper()} {r.claim_id}: {r.witness}" for r in report.results]
+    failed = sum(1 for r in report.results if r.status != "pass")
+    total = len(report.results)
+    lines.append(f"all {total} claims pass" if not failed else f"{failed} of {total} claims FAILED")
+    _emit(args, "\n".join(lines), report.to_json_obj())
     return 0 if report.passes else 1
 
 

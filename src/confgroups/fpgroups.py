@@ -153,8 +153,8 @@ def _artin_relators(k: int) -> Iterator[Word]:
 
 
 def _yang_baxter_relators(k: int) -> Iterator[Word]:
-    def gen(i: int, j: int, s: int = 1) -> Word:
-        return ((_pure_name(i, j), s),)
+    def gen(i: int, j: int) -> Word:
+        return ((_pure_name(i, j), 1),)
 
     # triple relators: the three cyclic products a_ij a_ik a_jk agree
     for i in range(1, k + 1):

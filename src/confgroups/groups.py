@@ -216,10 +216,8 @@ def _s_image(d: GroupDescriptor, w: object) -> Permutation:
 def _top_element(d: GroupDescriptor, w: object) -> CentralExtElement:
     word = _require_braid_word(d, w)
     perm = _star_image(word)
-    twist2 = exponent_sum(word) - perm.inversions()
-    if twist2 & 1:
-        raise GroupError("exponent sum and image length disagree in parity")
-    return CentralExtElement(d.parameter, twist2 // 2, perm)
+    # a letter moves the exponent sum by ±1 and the inversions by an odd number: // 2 is exact
+    return CentralExtElement(d.parameter, (exponent_sum(word) - perm.inversions()) // 2, perm)
 
 
 def _garside(convert: Callable[[GroupDescriptor, object], BraidWord], kill_delta_sq: bool):
@@ -317,7 +315,7 @@ def central_element(n: int) -> BraidWord:
 # relators
 
 
-def _relators(name: str, size: int, *, squares: bool = False, top: bool = False) -> list:
+def _relators(name: str, size: int, *, squares: bool = False) -> list:
     """The relators of builtin_presentation(name, size), plus the square of
     each generator when asked, over a group's own alphabet: s_i is (i, 1), or
     sigma_prime(i, size - 1) in the top group; a{i}_{j} is a[i,j]."""
@@ -326,6 +324,7 @@ def _relators(name: str, size: int, *, squares: bool = False, top: bool = False)
     if pure:
         images = [((PureGeneratorId(i, j, size), 1),) for i, j in _pure_names(size)]
     else:
+        top = name == "unordered_top"
         images = [sigma_prime(i, size - 1).letters if top else ((i, 1),) for i in range(1, size)]
     image = {}
     for g, letters in zip(pres.generators, images):
@@ -434,6 +433,6 @@ _FAMILIES: dict[str, _Family] = {
         _top_name, "B_(n+1)/<s_1^2=...=s_n^2>, a central Z-extension of Sigma_(n+1)",
         lambda text, p: parse_word(text, p, allow_compound=False), _top_element,
         lambda d, w: _star_image(_require_braid_word(d, w)),
-        lambda p: _relators("unordered_top", p, top=True),
+        lambda p: _relators("unordered_top", p),
     ),
 }

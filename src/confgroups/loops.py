@@ -25,9 +25,10 @@ decompose into disjoint uniform-sign blocks.
 
 Per-frame work runs as numpy operations over the whole frame axis: reading
 the JSON coordinates, the finiteness and pairwise-distance checks (in chunks
-of about _CHUNK_PAIR_ENTRIES pair coordinates, so temporaries stay bounded
-whatever k and n), the span SVDs, the determinants and their Hadamard
-floors, the determinant phase increments, the real-part tie test and the
+of about _CHUNK_COORDINATES coordinates, one point against the later ones at
+a time, so temporaries stay near a chunk or one frame whatever k and n), the
+span SVDs and the determinants with their Hadamard floors (in units of
+_unit), the determinant phase increments, the real-part tie test and the
 real-part order of every frame.  Python loops remain only where single
 frames or steps need individual treatment: nudging a tied frame off its tie,
 reading the letters of a step whose real-part order changes (a step whose
@@ -68,7 +69,7 @@ _SPAN_TOL = 1e-8
 _DET_FLOOR = 1e-12
 _CLOSURE_TOL = 1e-6
 _BISECT_SPLITS = (0.5, 0.25, 0.75, 0.125, 0.875, 0.0625, 0.9375, 0.03125)
-_CHUNK_PAIR_ENTRIES = 256 * 15 * 6  # pair coordinates of 256 frames at k = n = 6
+_CHUNK_COORDINATES = 256 * 15 * 6  # coordinates of 640 frames at k = n = 6
 _MAX_COORDINATES = 10**7  # frames * k * n of a generated loop: 160 MB of complex
 
 
@@ -108,13 +109,17 @@ def _first_coincident_frame(frames: np.ndarray, scale: float, margin: float) -> 
     """Index of the first frame with two points at most margin * scale apart.
 
     Coordinates are measured in units of scale (at least the largest
-    coordinate modulus), so differences and their squares cannot overflow."""
-    iu, ju = np.triu_indices(frames.shape[1], 1)
-    step = max(1, _CHUNK_PAIR_ENTRIES // max(1, iu.size * frames.shape[2]))
+    coordinate modulus), so differences and their squares cannot overflow.
+    Each point of a chunk of frames is compared with the later ones in turn."""
+    k = frames.shape[1]
+    step = max(1, _CHUNK_COORDINATES // (k * frames.shape[2]))
     for start in range(0, frames.shape[0], step):
         chunk = frames[start : start + step] / scale
-        dist = np.sqrt(np.sum(np.abs(chunk[:, iu] - chunk[:, ju]) ** 2, axis=-1))
-        bad = np.flatnonzero(np.any(dist <= margin, axis=1))
+        near = np.zeros(chunk.shape[0], dtype=bool)
+        for i in range(k - 1):
+            diff = chunk[:, i + 1 :] - chunk[:, i : i + 1]
+            near |= np.any(np.sqrt(np.sum(np.abs(diff) ** 2, axis=-1)) <= margin, axis=1)
+        bad = np.flatnonzero(near)
         if bad.size:
             return start + int(bad[0])
     return None
@@ -126,8 +131,7 @@ def _frames_match_as_sets(a: np.ndarray, b: np.ndarray, scale: float, tol: float
     on the dist <= tol bipartite graph, coordinates in units of scale; k is
     small."""
     a, b = a / scale, b / scale
-    near = np.sqrt(np.sum(np.abs(a[:, None, :] - b[None, :, :]) ** 2, axis=-1)) <= tol
-    adj = [np.flatnonzero(row).tolist() for row in near]
+    adj = [np.flatnonzero(np.sqrt(np.sum(np.abs(b - p) ** 2, axis=-1)) <= tol).tolist() for p in a]
     owner = [-1] * len(adj)  # owner[q] = the point of a matched to b[q]
 
     def augment(p: int, seen: set[int]) -> bool:
@@ -159,27 +163,32 @@ def span_dimension(points, tol: float = _SPAN_TOL) -> int:
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2:
         raise LoopError("points must be a k x n array")
-    return int(_span_dimensions(_span_singular_values(pts[None]), tol)[0])
+    return int(_span_dimensions(*_span_singular_values(pts[None]), tol)[0])
 
 
-def _span_singular_values(frames: np.ndarray) -> np.ndarray:
+def _span_singular_values(frames: np.ndarray) -> tuple[np.ndarray, float]:
     """Singular values of every frame's difference matrix [x_1 - x_0, ...],
-    shape (T, min(k-1, n))."""
-    return np.linalg.svd(frames[:, 1:] - frames[:, :1], compute_uv=False)
+    shape (T, min(k-1, n)), in units of unit = _unit(frames), and that unit.
+    Differences of coordinates below 2 cannot overflow."""
+    unit = _unit(frames)
+    return np.linalg.svd(frames[:, 1:] / unit - frames[:, :1] / unit, compute_uv=False), unit
 
 
-def _span_dimensions(sv: np.ndarray, tol: float) -> np.ndarray:
-    """Per frame, the number of singular values above tol relative to the
-    largest; 0 when the largest is below an absolute floor or there is none."""
+def _span_dimensions(sv: np.ndarray, unit: float, tol: float) -> np.ndarray:
+    """Per frame, the number of singular values (in units of unit) above tol
+    relative to the largest; 0 when the largest is below 1e-300 or there is none."""
     if not 0 <= tol < 1:  # also refuses NaN
         raise LoopError(f"span tolerance must satisfy 0 <= tol < 1, got {tol}")
     top = sv[:, :1]
-    return np.sum((sv > tol * top) & (top >= 1e-300), axis=1)
+    return np.sum((sv > tol * top) & (top >= 1e-300 / unit), axis=1)
 
 
 def span_reports(loop: ConfigLoop, tol: float = _SPAN_TOL) -> list[SpanReport]:
-    sv = _span_singular_values(loop.frames)
-    dims = _span_dimensions(sv, tol).tolist()
+    """Every frame's span report; a singular value beyond the float range reads inf."""
+    sv, unit = _span_singular_values(loop.frames)
+    dims = _span_dimensions(sv, unit, tol).tolist()
+    with np.errstate(over="ignore"):
+        sv = sv * unit
     return [SpanReport(t, tuple(row), dims[t]) for t, row in enumerate(sv.tolist())]
 
 
@@ -406,19 +415,13 @@ def _step_letters(E: np.ndarray, F: np.ndarray, k: int, margin: float, depth: in
     raise TieError("could not find a tie-free bisection frame inside a step")
 
 
-def extract_braid(
-    loop: ConfigLoop,
-    *,
-    tie_margin: float = _TIE_MARGIN,
-    line_tol: float = _LINE_TOL,
-    max_depth: int = 32,
-) -> BraidWord:
+def extract_braid(loop: ConfigLoop, *, max_depth: int = 32) -> BraidWord:
     """Braid word of a loop of collinear configurations (n = 1, or all frames
     on one common complex line)."""
     if loop.k == 1:
         return BraidWord(1)
-    zf, unit = _project_to_line(loop, line_tol)
-    margin = tie_margin * max(1.0 / unit, float(np.max(np.abs(zf))))
+    zf, unit = _project_to_line(loop, _LINE_TOL)
+    margin = _TIE_MARGIN * max(1.0 / unit, float(np.max(np.abs(zf))))
     eff = _resolve_frame_ties(zf, margin)
     # a crossing reverses a pair's real-part order, which changes the sort order
     order = np.argsort(eff.real, axis=1, kind="stable")
@@ -456,10 +459,10 @@ def det_winding(loop: ConfigLoop, *, tol: float = _SPAN_TOL, refine_budget: int 
         raise LoopError(
             "det_winding needs a loop closed pointwise; this one closes only up to relabeling"
         )
-    low = np.flatnonzero(_span_dimensions(_span_singular_values(frames), tol) != loop.n)
+    sv, unit = _span_singular_values(frames)
+    low = np.flatnonzero(_span_dimensions(sv, unit, tol) != loop.n)
     if low.size:
         raise DegenerateSpanError(f"frame {low[0]} does not span dimension {loop.n}")
-    unit = _unit(frames)
     dets, floors = _dets_and_floors(frames, unit)
     # hypot rounds like abs() of a Python complex, which the refinement uses
     small = np.flatnonzero(np.hypot(dets.real, dets.imag) < floors)

@@ -1,6 +1,7 @@
 """Command-line interface: output text, JSON mode, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -149,6 +150,20 @@ def test_verify_paper_json(capsys):
     for entry in report:
         assert set(entry) == {"claim_id", "paper_anchor", "status", "witness"}
         assert entry["status"] == "pass"
+
+
+# sha256 of the verify-paper stdout bytes at the default --max-k 5 (Python 3.11)
+_VERIFY_PAPER_SHA256 = {
+    (): "20580fc1b2d860b4761d0b5d1f14f542904d5c67396f8b1fc28d5b8973f1a08c",
+    ("--json",): "3cae4c306d478f7f0d80f90752d1b6258da3a84868153404786fa5724439e317",
+}
+
+
+def test_verify_paper_output_bytes_are_pinned(capsys):
+    for flags, digest in _VERIFY_PAPER_SHA256.items():
+        code, out, _ = run(capsys, "verify-paper", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, flags
 
 
 def test_json_mode_is_sorted_and_parseable(capsys):

@@ -279,6 +279,9 @@ def test_cap_is_a_normal_outcome():
     table = todd_coxeter(p, max_cosets=50)
     assert table.status == "capped"
     assert not table.verify()
+    # a walk off the edge of a capped table meets a gap
+    small, a6 = todd_coxeter(p, max_cosets=5), (("a", 1),) * 6
+    assert small.trace(a6) is None and helpers.reference_trace(small, a6) is None
 
 
 def test_trace_walks_the_table():
@@ -307,6 +310,9 @@ def test_malformed_coset_tables_fail_the_check_and_the_walk():
         CosetTable(p, (), "complete", ((0,),)).trace(a)
     one = CosetTable(p, (), "complete", ((0, 0),))
     assert one.verify() and one.trace(a * 3) == 0
+    # the columns invert each other, but a is a 3-cycle, so a^2 does not close
+    cycle = CosetTable(Presentation(("a",), (a * 2,)), (), "complete", ((1, 2), (2, 0), (0, 1)))
+    assert not cycle.verify() and not helpers.reference_verify(cycle)
 
 
 def test_max_cosets_validation():
@@ -371,6 +377,8 @@ def _enumerated_tables(enumerate_cosets=todd_coxeter):
         p = Presentation(gens, tuple(word(1, 6) for _ in range(rng.randint(1, 4))))
         sub = tuple(word(0, 3) for _ in range(rng.randint(0, 2)))
         tables.append(enumerate_cosets(p, sub, max_cosets=rng.choice((5, 50, 500))))
+    # index 1; a coset dies while its own relators are scanned
+    tables.append(enumerate_cosets(parse_presentation("gens: a, b ; rels: B A b, b a")))
     return tables
 
 

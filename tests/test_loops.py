@@ -90,7 +90,7 @@ def test_non_finite_coordinates_are_rejected():
 
 
 def test_coincident_frame_index_across_chunks():
-    chunk = loops._CHUNK_PAIR_ENTRIES // (3 * 2)  # frames per chunk: 3 pairs in C^2
+    chunk = loops._CHUNK_COORDINATES // (3 * 2)  # frames per chunk: 3 points in C^2
     base = make_gamma_loop(3, 3 * chunk + 5).frames
     for bad in (1, chunk - 1, chunk, 2 * chunk + 3):
         arr = base.copy()
@@ -123,6 +123,13 @@ def test_invariants_at_huge_coordinates_do_not_overflow(factor):
     assert str(word) == "s1 s2 s1 s1 s2 s1" == str(extract_braid(gamma))
     h = make_h_loop(2, 64)
     assert det_winding(ConfigLoop(3, 2, h.frames * factor)) == 1 == det_winding(h)
+    # near the float limit raw point differences overflow; the span is still 2
+    edge = h.frames * 1.5e308
+    edge[:, 0] = -0.9e308
+    edge = ConfigLoop(3, 2, edge)
+    reports = span_reports(edge)
+    assert {r.dimension for r in reports} == {2} and reports[0].singular_values[0] == math.inf
+    assert span_dimension(edge.frames[0]) == 2 and det_winding(edge) == 1
 
 
 def test_loop_closes_as_a_point_set():
@@ -216,6 +223,19 @@ def test_coincidence_check_memory_follows_the_pair_budget():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_validation_memory_follows_the_coordinates():
+    # 120 points in C^120: 7140 pairs a frame, 0.46 MB of coordinates in all
+    frame = np.random.default_rng(3).standard_normal((120, 120)) * (1 + 0.5j)
+    frames = np.stack([frame, frame])
+    tracemalloc.start()
+    try:
+        ConfigLoop(120, 120, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * frames.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +421,16 @@ def test_winding_errors():
     arr = np.stack([np.zeros(3, dtype=complex), z], axis=1)[:, :, None]
     with pytest.raises(DegenerateSpanError):
         det_winding(ConfigLoop(2, 1, arr))
+
+    # singular values 1, 1e-7, 1e-7 span C^3 at tol 1e-8, but |det| = 1e-14
+    rng = np.random.default_rng(5)
+    u, v = (np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+            for _ in range(2))
+    thin = np.vstack([np.zeros(3), u @ np.diag([1, 1e-7, 1e-7]) @ v])
+    thin = ConfigLoop(4, 3, np.stack([thin, thin]))
+    assert {r.dimension for r in span_reports(thin)} == {3}
+    with pytest.raises(DegenerateSpanError, match="^frame 0 determinant below the floor$"):
+        det_winding(thin)
 
 
 def test_winding_needs_pointwise_closure():
