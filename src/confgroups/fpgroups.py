@@ -454,9 +454,13 @@ def todd_coxeter(
 
     capped = not enumerate_cosets()
     live = [x for x in range(len(tab)) if parent[x] == x]
-    renum = {x: t for t, x in enumerate(live)}
-    rows = tuple(tuple(renum[e] if e is not None else None for e in tab[x]) for x in live)
-    result = CosetTable(p, tuple(subgroup), "capped" if capped else "complete", rows)
+    for t, x in enumerate(live):
+        parent[x] = t  # live rows name only live cosets, renumbered here
+    rows = []
+    for x in live:
+        rows.append(tuple(None if e is None else parent[e] for e in tab[x]))
+        tab[x] = None  # so the table and its copy are not both held
+    result = CosetTable(p, tuple(subgroup), "capped" if capped else "complete", tuple(rows))
     if not capped and not result.verify():
         raise RuntimeError("coset table failed its closing consistency check")
     return result

@@ -15,23 +15,28 @@ frames.  Two invariants are extracted:
   (auto-refining by linear interpolation whenever a single increment reaches
   pi/2).
 
-Between consecutive frames strands move linearly, so each pair of strands
-crosses at most once per step and a step's crossings are exactly the
-inversions of its rank permutation.  A step whose crossings all share one
-sign is read as that permutation braid (this is what the full- and
-half-turn steps of the standard loops produce); mixed-sign steps are split
-by bisection, and simultaneous mixed crossings are accepted only when they
-decompose into disjoint uniform-sign blocks.
+Between consecutive frames points move linearly, and extract_braid reads
+that piecewise-linear loop exactly.  Each frame is ordered lexicographically
+by (Re, Im): the real-part order of the line turned by an infinitesimal
+angle, so real-part ties need no special treatment.  A pair crosses in a step
+exactly when its order differs at the two ends, and the crossing's sign is
+the turn of its difference from the first frame to the last.  A step whose
+crossings share one sign is read as the permutation braid of its rank
+permutation (this is what the full- and half-turn steps of the standard
+loops produce); a mixed-sign step orders its crossings by their exact times
+under the same infinitesimal turn and reads each run of one sign the same
+way.  Signs and times are decided in floats where a rounding bound certifies
+them and in exact fractions otherwise, so the only refusal is a real
+collision of two points.
 
 Per-frame work runs as numpy operations over the whole frame axis: reading
 the JSON coordinates, the finiteness and pairwise-distance checks (in chunks
 of about _CHUNK_COORDINATES coordinates, one point against the later ones at
 a time, so temporaries stay near a chunk or one frame whatever k and n), the
 span SVDs and the determinants with their Hadamard floors (in units of
-_unit), the determinant phase increments, the real-part tie test and the
-real-part order of every frame.  Python loops remain only where single
-frames or steps need individual treatment: nudging a tied frame off its tie,
-reading the letters of a step whose real-part order changes (a step whose
+_unit), the determinant phase increments and the (Re, Im) order of every
+frame.  Python loops remain only where single steps need individual
+treatment: reading the letters of a step whose order changes (a step whose
 order is unchanged has no crossings), refining a determinant step whose
 increment reaches pi/2, and matching the end frames as point sets.
 """
@@ -41,6 +46,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cmp_to_key
+from itertools import groupby
 
 import numpy as np
 
@@ -52,23 +60,22 @@ class LoopError(ValueError):
 
 
 class TieError(LoopError):
-    """Two strands could not be separated within the perturbation budget."""
+    """The piecewise-linear loop makes two points collide."""
 
 
 class CoarseFramesError(LoopError):
-    """Crossings too entangled to resolve at this sampling resolution."""
+    """No longer raised; kept in __all__, which is part of the contract."""
 
 
 class DegenerateSpanError(LoopError):
     """A frame's span dropped below the required dimension."""
 
 
-_TIE_MARGIN = 1e-9
+_COINCIDENT_TOL = 1e-9
 _LINE_TOL = 1e-8
 _SPAN_TOL = 1e-8
 _DET_FLOOR = 1e-12
 _CLOSURE_TOL = 1e-6
-_BISECT_SPLITS = (0.5, 0.25, 0.75, 0.125, 0.875, 0.0625, 0.9375, 0.03125)
 _CHUNK_COORDINATES = 256 * 15 * 6  # coordinates of 640 frames at k = n = 6
 _MAX_COORDINATES = 10**7  # frames * k * n of a generated loop: 160 MB of complex
 
@@ -92,7 +99,7 @@ class ConfigLoop:
         if not np.all(np.isfinite(arr)):
             raise LoopError("frames must have finite coordinates")
         scale = max(1.0, float(np.max(np.abs(arr))))
-        t = _first_coincident_frame(arr, scale, _TIE_MARGIN)
+        t = _first_coincident_frame(arr, scale, _COINCIDENT_TOL)
         if t is not None:
             raise LoopError(f"frame {t} has coincident points")
         if not _frames_match_as_sets(arr[0], arr[-1], scale, _CLOSURE_TOL):
@@ -246,7 +253,7 @@ def concatenate(a: ConfigLoop, b: ConfigLoop) -> ConfigLoop:
     if (a.k, a.n) != (b.k, b.n):
         raise LoopError("loops live in different configuration spaces")
     scale = max(1.0, float(np.max(np.abs(a.frames))), float(np.max(np.abs(b.frames))))
-    if float(np.max(np.abs(a.frames[-1] - b.frames[0]))) > _CLOSURE_TOL * scale:
+    if not _closes_pointwise(a.frames[-1], b.frames[0], scale):
         raise LoopError("endpoints do not match (pointwise) at the concatenation seam")
     return ConfigLoop(a.k, a.n, np.concatenate([a.frames, b.frames[1:]], axis=0))
 
@@ -293,13 +300,21 @@ def _unit(frames: np.ndarray) -> float:
     return 2.0 ** min(max(0, math.frexp(float(np.max(np.abs(frames))))[1]), 1023)
 
 
-def _project_to_line(loop: ConfigLoop, line_tol: float) -> tuple[np.ndarray, float]:
+def _closes_pointwise(x: np.ndarray, y: np.ndarray, scale: float) -> bool:
+    """Is every coordinate of frame x within _CLOSURE_TOL * scale of y's?
+    Measured in units of _unit of the two frames, so the difference cannot
+    overflow."""
+    unit = _unit(np.stack((x, y)))
+    return float(np.max(np.abs(x / unit - y / unit))) <= _CLOSURE_TOL * scale / unit
+
+
+def _project_to_line(loop: ConfigLoop, line_tol: float) -> np.ndarray:
     """Affine coordinates of every point on the single complex line carrying
-    the whole loop, in units of _unit(loop.frames), and that unit; error if
-    any frame leaves that line."""
+    the whole loop, in units of _unit(loop.frames); error if any frame leaves
+    that line."""
     unit = _unit(loop.frames)
     if loop.n == 1:
-        return loop.frames[:, :, 0] / unit, unit
+        return loop.frames[:, :, 0] / unit
     base = loop.frames[0, 0] / unit
     direction = loop.frames[0, 1] / unit - base
     norm = float(np.sqrt(np.sum(np.abs(direction) ** 2)))
@@ -314,121 +329,86 @@ def _project_to_line(loop: ConfigLoop, line_tol: float) -> tuple[np.ndarray, flo
         raise LoopError(
             f"frames are not collinear on a common line (residual {worst * unit:.3e})"
         )
-    return coeffs, unit
+    return coeffs
 
 
-def _real_ties(z: np.ndarray, margin: float) -> np.ndarray:
-    """Per frame of z (..., k): do two points have real parts within margin?"""
-    return np.any(np.diff(np.sort(z.real, axis=-1), axis=-1) <= margin, axis=-1)
+def _exact_pair(E: np.ndarray, F: np.ndarray, p: int, q: int) -> tuple[Fraction, ...]:
+    """(a, a', b, b') exactly: a + i a' = E[p] - E[q], and b + i b' is how
+    much that difference changes from E to F."""
+    a = Fraction(E[p].real) - Fraction(E[q].real)
+    a1 = Fraction(E[p].imag) - Fraction(E[q].imag)
+    b = Fraction(F[p].real) - Fraction(F[q].real) - a
+    b1 = Fraction(F[p].imag) - Fraction(F[q].imag) - a1
+    return a, a1, b, b1
 
 
-def _resolve_frame_ties(zf: np.ndarray, margin: float) -> np.ndarray:
-    """zf with every tied frame nudged towards its neighbour frame, by the
-    largest of 1/2, 1/4, ..., 1/256 of the way that removes the tie."""
-    tied = np.flatnonzero(_real_ties(zf, margin)).tolist()
-    if not tied:
-        return zf
-    out = zf.copy()
-    last = zf.shape[0] - 1
-    for t in tied:
-        other = zf[t + 1] if t < last else zf[t - 1]
-        for attempt in range(1, 9):
-            w = 2.0 ** -attempt
-            cand = (1 - w) * zf[t] + w * other
-            if not _real_ties(cand, margin):
-                out[t] = cand
-                break
-        else:
+def _step_letters(E: np.ndarray, F: np.ndarray, rankE: np.ndarray, rankF: np.ndarray):
+    """The letters of the linear step from frame E to frame F, given the
+    (Re, Im) ranks of both frames."""
+    # the pairs (p, q) with p before q at E and after it at F
+    p, q = np.nonzero((rankE[:, None] < rankE) & (rankF[:, None] > rankF))
+    dE, dF = E[p] - E[q], F[p] - F[q]
+    # a crossing is positive when the pair's difference turns counterclockwise:
+    # the sign of Re dE Im dF - Im dE Re dF, decided in floats when it exceeds
+    # the rounding bound and exactly otherwise; 0 is a collision
+    left, right = dE.real * dF.imag, dE.imag * dF.real
+    turn = left - right
+    signs = np.sign(turn).astype(int).tolist()
+    unsure = np.abs(turn) <= 2.0**-50 * (np.abs(left) + np.abs(right)) + 2.0**-1000
+    for i in np.flatnonzero(unsure).tolist():
+        a, a1, b, b1 = _exact_pair(E, F, p[i], q[i])
+        signs[i] = (a * b1 > a1 * b) - (a * b1 < a1 * b)
+        if not signs[i]:
             raise TieError(
-                f"frame {t}: points share a real part beyond the perturbation budget"
+                "two strands meet at a crossing instant; the loop leaves the "
+                "configuration space between frames"
             )
-    return out
+    crossings = range(len(signs))
+    if len(set(signs)) > 1:
+        # The key difference Re d + eps Im d of a pair vanishes at
+        # tau(eps) = -(a + eps a')/(b + eps b') = tau0 + c eps + O(eps^2), with
+        # tau0 = -a/b and c = (a b' - a' b)/b^2, which has the crossing's sign.
+        # Runs of one sign are read whole, so only crossings of opposite signs
+        # need ordering, and (tau0, sign) is the key.  The float tau0 = a/(a - Re dF) is within 2^-50 of the exact
+        # one, as a and Re dF have opposite signs.
+        times = (dE.real / (dE.real - dF.real)).tolist()
 
+        def exact_time(i: int) -> Fraction:
+            a, _, b, _ = _exact_pair(E, F, p[i], q[i])
+            return -a / b
 
-def _block_letters(pi: tuple[int, ...], crossings):
-    """A step's letters: cut the step permutation into its blocks, the rank
-    intervals that end where the running maximum of pi meets the rank.  Every
-    crossing lies inside one block; each block's crossings must share one
-    sign, and the block is emitted as a permutation braid on its interval."""
-    signs_at: list[set[int]] = [set() for _ in pi]
-    for _, (ra, rb), sign in crossings:
-        signs_at[min(ra, rb)].add(sign)
+        def compare(i: int, j: int) -> int:
+            if abs(times[i] - times[j]) > 2.0**-48:
+                return -1 if times[i] < times[j] else 1
+            ti, tj = exact_time(i), exact_time(j)
+            return (ti > tj) - (ti < tj) or signs[i] - signs[j]
+
+        crossings = sorted(crossings, key=cmp_to_key(compare))
+    # each maximal run of one sign is a permutation braid: its crossings
+    # reverse pairs that cross once, so its permutation fixes it
+    rank = rankE.tolist()
     letters: list[tuple[int, int]] = []
-    lo, top, signs = 0, 0, set()
-    for r, v in enumerate(pi):
-        top, signs = max(top, v), signs | signs_at[r]
-        if top > r:
-            continue
-        if len(signs) > 1:
-            raise CoarseFramesError(
-                "simultaneous crossings of opposite sign share a rank interval; "
-                "increase the frame count"
-            )
-        if signs:
-            sign = signs.pop()
-            letters += [(idx + lo, sign) for idx in _reduced_word(pi[lo : r + 1])]
-        lo, signs = r + 1, set()
+    for sign, run in groupby(crossings, key=signs.__getitem__):
+        at = sorted(range(len(rank)), key=rank.__getitem__)
+        for i in run:
+            rank[p[i]] += 1
+            rank[q[i]] -= 1
+        letters += [(j, sign) for j in _reduced_word(tuple(rank[s] for s in at))]
     return letters
 
 
-def _step_letters(E: np.ndarray, F: np.ndarray, k: int, margin: float, depth: int):
-    reE, reF = E.real, F.real
-    orderE = np.argsort(reE, kind="stable")
-    orderF = np.argsort(reF, kind="stable")
-    rankE = np.empty(k, dtype=int)
-    rankF = np.empty(k, dtype=int)
-    rankE[orderE] = np.arange(k)
-    rankF[orderF] = np.arange(k)
-    pi = tuple(int(rankF[orderE[r]]) for r in range(k))
-
-    crossings = []
-    for p in range(k):
-        for q in range(p + 1, k):
-            dE = reE[p] - reE[q]
-            dF = reF[p] - reF[q]
-            if dE * dF >= 0:
-                continue
-            tstar = dE / (dE - dF)
-            mover, other = (p, q) if dE < 0 else (q, p)
-            im_mover = E[mover].imag + tstar * (F[mover].imag - E[mover].imag)
-            im_other = E[other].imag + tstar * (F[other].imag - E[other].imag)
-            gap = im_other - im_mover
-            if abs(gap) <= margin:
-                raise TieError(
-                    "two strands meet at a crossing instant; the loop leaves the "
-                    "configuration space between frames"
-                )
-            # positive = counterclockwise: the left-to-right mover passes below
-            sign = 1 if gap > 0 else -1
-            crossings.append((float(tstar), (int(rankE[p]), int(rankE[q])), sign))
-
-    signs = {s for _, _, s in crossings}
-    times = [t for t, _, _ in crossings]
-    if len(signs) < 2 or depth <= 0 or max(times) - min(times) < 2.0 ** -40:
-        return _block_letters(pi, crossings)
-    for split in _BISECT_SPLITS:
-        mid = (1 - split) * E + split * F
-        if not _real_ties(mid, margin):
-            return _step_letters(E, mid, k, margin, depth - 1) + _step_letters(
-                mid, F, k, margin, depth - 1
-            )
-    raise TieError("could not find a tie-free bisection frame inside a step")
-
-
-def extract_braid(loop: ConfigLoop, *, max_depth: int = 32) -> BraidWord:
+def extract_braid(loop: ConfigLoop) -> BraidWord:
     """Braid word of a loop of collinear configurations (n = 1, or all frames
     on one common complex line)."""
     if loop.k == 1:
         return BraidWord(1)
-    zf, unit = _project_to_line(loop, _LINE_TOL)
-    margin = _TIE_MARGIN * max(1.0 / unit, float(np.max(np.abs(zf))))
-    eff = _resolve_frame_ties(zf, margin)
-    # a crossing reverses a pair's real-part order, which changes the sort order
-    order = np.argsort(eff.real, axis=1, kind="stable")
-    moved = np.flatnonzero(np.any(order[1:] != order[:-1], axis=1)).tolist()
+    zf = _project_to_line(loop, _LINE_TOL)
+    # by Re + eps Im: the real-part order of the line turned by an infinitesimal angle
+    order = np.lexsort((zf.imag, zf.real), axis=-1)
     letters: list[tuple[int, int]] = []
-    for t in moved:
-        letters += _step_letters(eff[t], eff[t + 1], loop.k, margin, max_depth)
+    for t in np.flatnonzero(np.any(order[1:] != order[:-1], axis=1)).tolist():
+        rankE, rankF = np.argsort(order[t : t + 2], axis=1)
+        letters += _step_letters(zf[t], zf[t + 1], rankE, rankF)
     return BraidWord(loop.k, tuple(letters))
 
 
@@ -455,7 +435,7 @@ def det_winding(loop: ConfigLoop, *, tol: float = _SPAN_TOL, refine_budget: int 
         raise LoopError(f"det_winding needs k = n+1 points, got k={loop.k}, n={loop.n}")
     frames = loop.frames
     scale = max(1.0, float(np.max(np.abs(frames))))
-    if float(np.max(np.abs(frames[-1] - frames[0]))) > _CLOSURE_TOL * scale:
+    if not _closes_pointwise(frames[-1], frames[0], scale):
         raise LoopError(
             "det_winding needs a loop closed pointwise; this one closes only up to relabeling"
         )

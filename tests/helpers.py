@@ -264,10 +264,14 @@ def reference_normalise(factors, k):
 # ---------------------------------------------------------------------------
 # frame-by-frame references for the batched loop layer: the per-frame code
 # that confgroups.loops runs as array operations over the frame axis.  They
-# reuse the package's line projection and per-step letter reader, which the
-# batching leaves unchanged, and must agree with the package exactly.
+# reuse the package's line projection, which the batching leaves unchanged,
+# and must agree with the package exactly.  The braid reader below is the
+# earlier float reader, kept whole as the reference for the exact one: it
+# nudged frames off real-part ties, bisected mixed-sign steps and cut
+# simultaneous crossings into one-sign blocks.
 
 _TIE_MARGIN, _LINE_TOL, _SPAN_TOL, _DET_FLOOR = 1e-9, 1e-8, 1e-8, 1e-12
+_BISECT_SPLITS = (0.5, 0.25, 0.75, 0.125, 0.875, 0.0625, 0.9375, 0.03125)
 
 
 def reference_loop_from_json_obj(obj: dict):
@@ -318,14 +322,85 @@ def _has_real_tie(z: np.ndarray, margin: float) -> bool:
     return bool(np.any(np.diff(np.sort(z.real)) <= margin))
 
 
+def _reference_block_letters(pi: tuple[int, ...], crossings):
+    from confgroups.braids import _reduced_word
+    from confgroups.loops import CoarseFramesError
+
+    signs_at: list[set[int]] = [set() for _ in pi]
+    for _, (ra, rb), sign in crossings:
+        signs_at[min(ra, rb)].add(sign)
+    letters: list[tuple[int, int]] = []
+    lo, top, signs = 0, 0, set()
+    for r, v in enumerate(pi):
+        top, signs = max(top, v), signs | signs_at[r]
+        if top > r:
+            continue
+        if len(signs) > 1:
+            raise CoarseFramesError(
+                "simultaneous crossings of opposite sign share a rank interval; "
+                "increase the frame count"
+            )
+        if signs:
+            sign = signs.pop()
+            letters += [(idx + lo, sign) for idx in _reduced_word(pi[lo : r + 1])]
+        lo, signs = r + 1, set()
+    return letters
+
+
+def _reference_step_letters(E: np.ndarray, F: np.ndarray, k: int, margin: float, depth: int):
+    from confgroups.loops import TieError
+
+    reE, reF = E.real, F.real
+    orderE = np.argsort(reE, kind="stable")
+    orderF = np.argsort(reF, kind="stable")
+    rankE = np.empty(k, dtype=int)
+    rankF = np.empty(k, dtype=int)
+    rankE[orderE] = np.arange(k)
+    rankF[orderF] = np.arange(k)
+    pi = tuple(int(rankF[orderE[r]]) for r in range(k))
+
+    crossings = []
+    for p in range(k):
+        for q in range(p + 1, k):
+            dE = reE[p] - reE[q]
+            dF = reF[p] - reF[q]
+            if dE * dF >= 0:
+                continue
+            tstar = dE / (dE - dF)
+            mover, other = (p, q) if dE < 0 else (q, p)
+            im_mover = E[mover].imag + tstar * (F[mover].imag - E[mover].imag)
+            im_other = E[other].imag + tstar * (F[other].imag - E[other].imag)
+            gap = im_other - im_mover
+            if abs(gap) <= margin:
+                raise TieError(
+                    "two strands meet at a crossing instant; the loop leaves the "
+                    "configuration space between frames"
+                )
+            # positive = counterclockwise: the left-to-right mover passes below
+            sign = 1 if gap > 0 else -1
+            crossings.append((float(tstar), (int(rankE[p]), int(rankE[q])), sign))
+
+    signs = {s for _, _, s in crossings}
+    times = [t for t, _, _ in crossings]
+    if len(signs) < 2 or depth <= 0 or max(times) - min(times) < 2.0 ** -40:
+        return _reference_block_letters(pi, crossings)
+    for split in _BISECT_SPLITS:
+        mid = (1 - split) * E + split * F
+        if not _has_real_tie(mid, margin):
+            return _reference_step_letters(E, mid, k, margin, depth - 1) + _reference_step_letters(
+                mid, F, k, margin, depth - 1
+            )
+    raise TieError("could not find a tie-free bisection frame inside a step")
+
+
 def reference_extract_braid(loop, *, tie_margin=_TIE_MARGIN, line_tol=_LINE_TOL, max_depth=32):
     from confgroups.braids import BraidWord
-    from confgroups.loops import TieError, _project_to_line, _step_letters
+    from confgroups.loops import TieError, _project_to_line, _unit
 
     if loop.k == 1:
         return BraidWord(1)
-    zf, unit = _project_to_line(loop, line_tol)
-    margin = tie_margin * max(1.0 / unit, float(np.max(np.abs(zf))))
+    zf = _project_to_line(loop, line_tol)
+    margin = tie_margin * max(1.0 / _unit(loop.frames), float(np.max(np.abs(zf))))
     eff = []
     for t in range(zf.shape[0]):
         frame = zf[t]
@@ -343,7 +418,7 @@ def reference_extract_braid(loop, *, tie_margin=_TIE_MARGIN, line_tol=_LINE_TOL,
             raise TieError(f"frame {t}: points share a real part beyond the perturbation budget")
     letters = []
     for t in range(len(eff) - 1):
-        letters += _step_letters(eff[t], eff[t + 1], loop.k, margin, max_depth)
+        letters += _reference_step_letters(eff[t], eff[t + 1], loop.k, margin, max_depth)
     return BraidWord(loop.k, tuple(letters))
 
 
