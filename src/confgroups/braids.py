@@ -1,9 +1,10 @@
-"""Braid words and the left-greedy (Garside) normal form.
+"""Braid words, the left-greedy (Garside) normal form and Dynnikov coordinates.
 
 A braid on k strands is a word in the generators s1, ..., s(k-1); the normal
 form Delta^m * x_1 ... x_r over permutation factors is a complete invariant,
-so it decides the word problem in B_k and -- because Delta^2 is central -- in
-the quotient B_k/<Delta^2> used elsewhere in this package.
+the canonical form this package prints.  Equality in B_k and -- because
+Delta^2 is central -- in the quotient B_k/<Delta^2> used elsewhere in this
+package is decided on Dynnikov coordinates instead (_dynnikov).
 
 Conventions, fixed once and used everywhere:
 
@@ -321,10 +322,32 @@ def garside_normal_form(u: BraidWord) -> GarsideForm:
     return GarsideForm(k, dp + lead, tuple(Permutation(k, f) for f in fs))
 
 
+def _dynnikov(k: int, *words) -> list[int]:
+    """Dynnikov coordinates [a_1, b_1, ..., a_k, b_k] of the lamination
+    [0, 1, ..., 0, 1] acted on by the words' letters in turn, which determine
+    the braid (Dynnikov 2002; Dehornoy 2008); b1p = max(b1, 0), b1m = min(b1, 0)."""
+    c = [0, 1] * k
+    for letters in words:
+        for i, s in letters:
+            j = 2 * i - 2
+            a1, b1, a2, b2 = c[j : j + 4]
+            if s < 0:  # s_i^-1 is s_i conjugated by negating the a's
+                a1, a2 = -a1, -a2
+            b1p, b1m = (b1, 0) if b1 > 0 else (0, b1)
+            b2p, b2m = (b2, 0) if b2 > 0 else (0, b2)
+            t = a1 - b1m - a2 + b2p
+            tp, x, y = (t if t > 0 else 0), b2p - t, b1m + t
+            a1 += b1p + (x if x > 0 else 0)
+            a2 += b2m + (y if y < 0 else 0)
+            c[j : j + 4] = (a1, b2 - tp, a2, b1 + tp) if s > 0 else (-a1, b2 - tp, -a2, b1 + tp)
+    return c
+
+
 def equal_in_braid(u: BraidWord, v: BraidWord) -> bool:
+    """Equality in B_k, decided by the Dynnikov coordinates of the two words."""
     if u.strands != v.strands:
         raise BraidError(f"strand-count mismatch: {u.strands} vs {v.strands}")
-    return garside_normal_form(u) == garside_normal_form(v)
+    return _dynnikov(u.strands, u.letters) == _dynnikov(v.strands, v.letters)
 
 
 def permutation_image(u: BraidWord) -> Permutation:

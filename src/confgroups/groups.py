@@ -4,11 +4,10 @@ classify(k, i, n, flavor) names the group of the stratum of k-point
 configurations in C^n whose affine span has dimension i, for ordered or
 unordered points.  Each descriptor carries a decidable word problem: every
 element has one canonical form, and two words are equal exactly when their
-canonical forms are (equal_in_group compares them; element_from_word
-returns one).
+canonical forms are (element_from_word returns one; equal_in_group decides it).
 
-* braid-flavored tags reduce to the Garside normal form (quotients by the
-  central half-twist square reduce the Delta power mod 2);
+* braid-flavored tags reduce to the Garside normal form, its Delta power mod 2
+  when the central Delta^2 is killed; equality acts on Dynnikov coordinates;
 * the symmetric group keeps the permutation image;
 * pure-braid words are translated into braid words first -- there is no
   native pure-braid rewriting;
@@ -39,7 +38,9 @@ from .braids import (
     Permutation,
     PureGeneratorId,
     _check_letter_budget,
+    _dynnikov,
     _invert,
+    delta_word,
     exponent_sum,
     garside_normal_form,
     parse_pure_word,
@@ -220,10 +221,10 @@ def _top_element(d: GroupDescriptor, w: object) -> CentralExtElement:
     return CentralExtElement(d.parameter, (exponent_sum(word) - perm.inversions()) // 2, perm)
 
 
-def _garside(convert: Callable[[GroupDescriptor, object], BraidWord], kill_delta_sq: bool):
-    """The canonical form of a braid-family tag: the Garside normal form of
-    the converted word, whose Delta power is reduced mod 2 when the central
-    Delta^2 is killed (the factors are untouched)."""
+def _braid_family(convert: Callable[[GroupDescriptor, object], BraidWord], kill_delta_sq: bool):
+    """The canonical form of a braid-family tag, the Garside normal form with
+    its Delta power mod 2 when the central Delta^2 is killed, and its equality
+    on Dynnikov coordinates: killing Delta^2, u = v iff u = v Delta^(2m)."""
 
     def canonical(d: GroupDescriptor, w: object) -> GarsideForm:
         form = garside_normal_form(convert(d, w))
@@ -231,7 +232,20 @@ def _garside(convert: Callable[[GroupDescriptor, object], BraidWord], kill_delta
             return GarsideForm(form.strands, form.delta_power & 1, form.factors)
         return form
 
-    return canonical
+    def equal(d: GroupDescriptor, u: object, v: object) -> bool:
+        u, v = convert(d, u), convert(d, v)
+        k, m = d.parameter, 0
+        if kill_delta_sq:
+            # Delta^(2m) has exponent sum m k(k-1)
+            m, rest = divmod(exponent_sum(u) - exponent_sum(v), k * (k - 1))
+            if rest:
+                return False
+            if m < 0:  # v = u Delta^(-2m)
+                u, v, m = v, u, -m
+        twists = [delta_word(k).letters] * (2 * m) if m else []
+        return _dynnikov(k, u.letters) == _dynnikov(k, v.letters, *twists)
+
+    return canonical, equal
 
 
 def element_from_word(d: GroupDescriptor, w: object) -> GroupElement:
@@ -240,9 +254,11 @@ def element_from_word(d: GroupDescriptor, w: object) -> GroupElement:
 
 
 def equal_in_group(d: GroupDescriptor, u: object, v: object) -> bool:
-    """Word problem for the classified group: the canonical forms agree."""
-    canonical = _FAMILIES[d.tag].canonical
-    return canonical(d, u) == canonical(d, v)
+    """Word problem for the classified group: the family's test, or equal canonical forms."""
+    family = _FAMILIES[d.tag]
+    if family.equal:
+        return family.equal(d, u, v)
+    return family.canonical(d, u) == family.canonical(d, v)
 
 
 def tau(d: GroupDescriptor, w: object) -> Permutation:
@@ -371,6 +387,7 @@ class _Family:
     anchor: str  # the right-hand side of case_statement
     parse: Callable[[str, int], object]  # (text, p) -> word
     canonical: Callable[[GroupDescriptor, object], object]  # equal words, equal values
+    equal: Callable[[GroupDescriptor, object, object], bool] | None  # None: compare canonicals
     tau: Callable[[GroupDescriptor, object], Permutation] | None
     relators: Callable[[int], list]
 
@@ -383,55 +400,55 @@ def _top_name(p: int) -> str:
 _STRANDS = "{tag} needs a strand count of at least 2"
 
 # One row per tag, one line per group of fields: sizes, names, word problem
-# (parse, canonical, tau) and relators.
+# (parse, canonical, equal, tau) and relators.
 _FAMILIES: dict[str, _Family] = {
     "trivial": _Family(
         "trivial", ORDERED, 0, "", lambda p: (1, 0, 1),
         lambda p: "trivial", "1 (simply connected off the loci i=1 and i=n=k-1)",
-        lambda text, p: None, lambda d, w: None, None,
+        lambda text, p: None, lambda d, w: None, None, None,
         lambda p: [],
     ),
     "integers": _Family(
         "integers", ORDERED, 0, "", lambda p: (3, 2, 2),
         lambda p: "ℤ", "Z (top stratum of k=n+1 ordered points)",
-        lambda text, p: _parse_integer_word(text), _require_integer, None,
+        lambda text, p: _parse_integer_word(text), _require_integer, None, None,
         lambda p: [0],
     ),
     "symmetric": _Family(
         "sym", UNORDERED, 2, _STRANDS, lambda p: (p, 2, 2),
         lambda p: f"Σ_{p}", "Sigma_k (off the loci i=1 and i=n=k-1)",
-        parse_word, _s_image, _s_image,
+        parse_word, _s_image, None, _s_image,
         lambda p: _relators("artin", p, squares=True),
     ),
     "pure_braid": _Family(
         "pure", ORDERED, 2, _STRANDS, lambda p: (p, 1, 1),
         lambda p: f"PB_{p}", "PB_k (points on a line in C)",
-        parse_pure_word, _garside(_require_pure_word, False), None,
+        parse_pure_word, *_braid_family(_require_pure_word, False), None,
         lambda p: _relators("pure_braid", p),
     ),
     "braid": _Family(
         "braid", UNORDERED, 2, _STRANDS, lambda p: (p, 1, 1),
         lambda p: f"B_{p}", "B_k (points on a line in C)",
-        parse_word, _garside(_require_braid_word, False), _s_image,
+        parse_word, *_braid_family(_require_braid_word, False), _s_image,
         lambda p: _relators("artin", p),
     ),
     "pure_braid_mod_D": _Family(
         "pure-mod-d", ORDERED, 2, _STRANDS, lambda p: (p, 1, 2),
         lambda p: f"PB_{p} / ⟨D⟩", "PB_k/<D_k> (collinear points, n > 1)",
-        parse_pure_word, _garside(_require_pure_word, True), None,
+        parse_pure_word, *_braid_family(_require_pure_word, True), None,
         lambda p: _relators("pure_braid_mod_D", p),
     ),
     "braid_mod_delta_sq": _Family(
         "braid-mod-delta2", UNORDERED, 2, _STRANDS, lambda p: (p, 1, 2),
         lambda p: f"B_{p} / ⟨Δ²⟩", "B_k/<Delta_k^2> (collinear points, n > 1)",
-        parse_word, _garside(_require_braid_word, True), _s_image,
+        parse_word, *_braid_family(_require_braid_word, True), _s_image,
         lambda p: _relators("braid_mod_delta_sq", p),
     ),
     "central_ext_top": _Family(
         "top", UNORDERED, 3, "the top unordered case needs n >= 2, i.e. at least 3 points",
         lambda p: (p, p - 1, p - 1),
         _top_name, "B_(n+1)/<s_1^2=...=s_n^2>, a central Z-extension of Sigma_(n+1)",
-        lambda text, p: parse_word(text, p, allow_compound=False), _top_element,
+        lambda text, p: parse_word(text, p, allow_compound=False), _top_element, None,
         lambda d, w: _star_image(_require_braid_word(d, w)),
         lambda p: _relators("unordered_top", p),
     ),

@@ -294,6 +294,11 @@ def test_normal_form_matches_identity_combing_reference(monkeypatch):
             letters = parse_word(_random_token_text(rng, k, length), k).letters
         words.append(BraidWord(k, tuple(letters)))
     forms = [garside_normal_form(w) for w in words]
+    # a second, independent check: each spelled form acts on Dynnikov
+    # coordinates as its word does
+    for w, form in zip(words, forms):
+        spelled = spell_form(form).letters
+        assert braids._dynnikov(w.strands, spelled) == braids._dynnikov(w.strands, w.letters)
     monkeypatch.setattr(braids, "_normalise", helpers.reference_normalise)
     assert [garside_normal_form(w) for w in words] == forms
 

@@ -13,13 +13,22 @@ from confgroups.braids import (
     Permutation,
     PureGeneratorId,
     delta_word,
+    equal_in_braid,
     exponent_sum,
     multiply,
     parse_pure_word,
     parse_word,
     power,
+    pure_generator_order,
+    pure_word_to_braid,
 )
-from confgroups.fpgroups import Presentation, PresentationError, builtin_presentation, todd_coxeter
+from confgroups.fpgroups import (
+    Presentation,
+    PresentationError,
+    builtin_presentation,
+    inverse_word,
+    todd_coxeter,
+)
 from confgroups.groups import (
     ORDERED,
     UNORDERED,
@@ -335,6 +344,51 @@ def test_equality_matches_the_uv_inverse_reference():
                 assert got == helpers.reference_uv_inverse_equal(d, u, v), (tag, u, v)
                 verdicts.add(got)
         assert verdicts == {True, False}, tag
+
+
+def test_dynnikov_equality_matches_garside_canonical_forms():
+    # each pair is judged in B_k (PB_k) and in the quotient by Delta^2 (D):
+    # relator insertions keep the B_k element, twist insertions only the
+    # quotient's, and the tail letter or fresh word usually changes both
+    rng = random.Random(31)
+    for group, quotient in (("braid", "braid_mod_delta_sq"), ("pure_braid", "pure_braid_mod_D")):
+        pure = group == "pure_braid"
+        verdicts, off_multiple = set(), 0
+        for k in range(2, 8):
+            ds = (descriptor_for(group, k), descriptor_for(quotient, k))
+            if pure:
+                twist = tuple((gen, 1) for gen in pure_generator_order(k))
+            else:
+                twist = power(delta_word(k), 2).letters
+            as_braid = (lambda w: pure_word_to_braid(k, w)) if pure else (lambda w: w)
+            for _ in range(40):
+                u = _random_word_for(ds[0], rng, rng.randrange(0, 12))
+                v = u
+                for _ in range(rng.randrange(0, 3) if k > 2 else 0):  # B_2, PB_2 are free
+                    v = _insert_relator_word(ds[0], v, rng)
+                for _ in range(rng.randrange(0, 3)):
+                    body = twist if rng.random() < 0.5 else inverse_word(twist)
+                    letters = v if pure else v.letters
+                    cut = rng.randrange(len(letters) + 1)
+                    letters = letters[:cut] + body + letters[cut:]
+                    v = letters if pure else BraidWord(k, letters)
+                if rng.random() < 0.3:
+                    v = _random_word_for(ds[0], rng, rng.randrange(0, 12))
+                elif rng.random() < 0.3:
+                    letter = _random_word_for(ds[0], rng, 1)
+                    v = v + letter if pure else multiply(v, letter)
+                got = tuple(equal_in_group(d, u, v) for d in ds)
+                expected = tuple(
+                    element_from_word(d, u).payload == element_from_word(d, v).payload for d in ds
+                )
+                assert got == expected, (k, u, v)
+                assert equal_in_braid(as_braid(u), as_braid(v)) == got[0]
+                verdicts.add(got)
+                e = exponent_sum(as_braid(u)) - exponent_sum(as_braid(v))
+                off_multiple += e % (k * (k - 1)) != 0
+        # both verdicts in each group, and pairs where the quotient's differs
+        assert verdicts == {(True, True), (False, True), (False, False)}, group
+        assert off_multiple > 0, group
 
 
 def test_identity_words():
