@@ -160,9 +160,6 @@ class GarsideForm:
     def is_identity(self) -> bool:
         return self.delta_power == 0 and not self.factors
 
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
     def __str__(self) -> str:
         return format_form(self)
 
@@ -398,8 +395,9 @@ def pure_generator(gen: PureGeneratorId) -> BraidWord:
 
 
 def pure_generator_order(k: int) -> list[PureGeneratorId]:
-    """a[1,2], a[1,3], a[2,3], a[1,4], ...: the column-major order used by the
-    full twist."""
+    """a[1,2], a[1,3], a[2,3], a[1,4], ...: the column-major order of the full
+    twist, which is also the generator order of the pure presentations, so
+    their full-twist relator spells D_k."""
     return [PureGeneratorId(i, j, k) for j in range(2, k + 1) for i in range(1, j)]
 
 

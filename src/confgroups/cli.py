@@ -175,7 +175,7 @@ def _cmd_analyze_loop(args: argparse.Namespace) -> int:
         obj["braid_word"] = braids.format_word(word)
         obj["normal_form"] = braids.format_form(form)
         if args.compare is not None:
-            same = form == braids.garside_normal_form(braids.parse_word(args.compare, loop.k))
+            same = braids.equal_in_braid(word, braids.parse_word(args.compare, loop.k))
             lines.append("equal" if same else "not equal")
             obj["compare"] = "equal" if same else "not equal"
     if args.winding:

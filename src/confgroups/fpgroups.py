@@ -27,7 +27,7 @@ from itertools import chain
 from math import comb
 from typing import Callable, Iterator, Mapping, TypeVar
 
-from .braids import _MAX_LETTERS
+from .braids import _MAX_LETTERS, pure_generator_order
 
 Word = tuple[tuple[str, int], ...]
 
@@ -134,10 +134,6 @@ def _artin_names(k: int) -> tuple[str, ...]:
     return tuple(f"s{i}" for i in range(1, k))
 
 
-def _pure_names(k: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(2, k + 1) for i in range(1, j)]
-
-
 def _pure_name(i: int, j: int) -> str:
     return f"a{i}_{j}"
 
@@ -207,7 +203,7 @@ def _relators(name: str, k: int) -> Iterator[Word]:
     else:
         yield from _yang_baxter_relators(k)
     if name == "pure_braid_mod_D":  # the full twist
-        yield tuple((_pure_name(i, j), 1) for i, j in _pure_names(k))
+        yield tuple((_pure_name(gen.i, gen.j), 1) for gen in pure_generator_order(k))
     if name == "braid_mod_delta_sq":  # the staircase Delta, twice
         yield 2 * tuple((f"s{i}", 1) for top in range(1, k) for i in range(top, 0, -1))
     if name == "unordered_top":  # s_i^2 = s_(i+1)^2
@@ -228,7 +224,7 @@ def builtin_presentation(name: str, size: int) -> Presentation:
     if _relator_letters(name, size) > _MAX_LETTERS:
         raise PresentationError(f"{name}:{size} has over {_MAX_LETTERS} relator letters")
     if name.startswith("pure"):
-        gens = tuple(_pure_name(i, j) for i, j in _pure_names(size))
+        gens = tuple(_pure_name(gen.i, gen.j) for gen in pure_generator_order(size))
     else:
         gens = _artin_names(size)
     return Presentation(gens, tuple(_relators(name, size)))

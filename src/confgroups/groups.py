@@ -46,9 +46,10 @@ from .braids import (
     parse_pure_word,
     parse_word,
     permutation_image,
+    pure_generator_order,
     pure_word_to_braid,
 )
-from .fpgroups import Word, _pure_names, builtin_presentation, inverse_word
+from .fpgroups import Word, builtin_presentation, inverse_word
 
 
 class GroupError(ValueError):
@@ -338,7 +339,7 @@ def _relators(name: str, size: int, *, squares: bool = False) -> list:
     pres = builtin_presentation(name, size)
     pure = name.startswith("pure")  # the a{i}_{j} alphabet, spelled as pure words
     if pure:
-        images = [((PureGeneratorId(i, j, size), 1),) for i, j in _pure_names(size)]
+        images = [((gen, 1),) for gen in pure_generator_order(size)]
     else:
         top = name == "unordered_top"
         images = [sigma_prime(i, size - 1).letters if top else ((i, 1),) for i in range(1, size)]

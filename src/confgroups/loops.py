@@ -25,9 +25,9 @@ crossings share one sign is read as the permutation braid of its rank
 permutation (this is what the full- and half-turn steps of the standard
 loops produce); a mixed-sign step orders its crossings by their exact times
 under the same infinitesimal turn and reads each run of one sign the same
-way.  Signs and times are decided in floats where a rounding bound certifies
-them and in exact fractions otherwise, so the only refusal is a real
-collision of two points.
+way.  Signs and times are decided in exact integer arithmetic on the step's
+coordinates, written as integers over one power of two, so the only refusal
+is a real collision of two points.
 
 Per-frame work runs as numpy operations over the whole frame axis: reading
 the JSON coordinates, the finiteness and pairwise-distance checks (in chunks
@@ -46,7 +46,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import groupby
 
@@ -332,56 +331,45 @@ def _project_to_line(loop: ConfigLoop, line_tol: float) -> np.ndarray:
     return coeffs
 
 
-def _exact_pair(E: np.ndarray, F: np.ndarray, p: int, q: int) -> tuple[Fraction, ...]:
-    """(a, a', b, b') exactly: a + i a' = E[p] - E[q], and b + i b' is how
-    much that difference changes from E to F."""
-    a = Fraction(E[p].real) - Fraction(E[q].real)
-    a1 = Fraction(E[p].imag) - Fraction(E[q].imag)
-    b = Fraction(F[p].real) - Fraction(F[q].real) - a
-    b1 = Fraction(F[p].imag) - Fraction(F[q].imag) - a1
-    return a, a1, b, b1
-
-
 def _step_letters(E: np.ndarray, F: np.ndarray, rankE: np.ndarray, rankF: np.ndarray):
     """The letters of the linear step from frame E to frame F, given the
     (Re, Im) ranks of both frames."""
     # the pairs (p, q) with p before q at E and after it at F
     p, q = np.nonzero((rankE[:, None] < rankE) & (rankF[:, None] > rankF))
-    dE, dF = E[p] - E[q], F[p] - F[q]
-    # a crossing is positive when the pair's difference turns counterclockwise:
-    # the sign of Re dE Im dF - Im dE Re dF, decided in floats when it exceeds
-    # the rounding bound and exactly otherwise; 0 is a collision
-    left, right = dE.real * dF.imag, dE.imag * dF.real
-    turn = left - right
-    signs = np.sign(turn).astype(int).tolist()
-    unsure = np.abs(turn) <= 2.0**-50 * (np.abs(left) + np.abs(right)) + 2.0**-1000
-    for i in np.flatnonzero(unsure).tolist():
-        a, a1, b, b1 = _exact_pair(E, F, p[i], q[i])
-        signs[i] = (a * b1 > a1 * b) - (a * b1 < a1 * b)
-        if not signs[i]:
+    p, q = p.tolist(), q.tolist()
+    # every coordinate as an integer over one power of two
+    coords = np.concatenate((E.real, E.imag, F.real, F.imag)).tolist()
+    ratios = [x.as_integer_ratio() for x in coords]
+    den = max(d for _, d in ratios)
+    ints = [n * (den // d) for n, d in ratios]
+    xE, yE, xF, yF = (ints[s : s + len(E)] for s in range(0, len(ints), len(E)))
+    signs, times = [], []
+    for u, v in zip(p, q):
+        # a + i a' = E[u] - E[v], and b + i b' is how much it changes by F
+        a, a1 = xE[u] - xE[v], yE[u] - yE[v]
+        b, b1 = xF[u] - xF[v] - a, yF[u] - yF[v] - a1
+        # positive when the pair's difference turns counterclockwise; 0 is a collision
+        turn = a * b1 - a1 * b
+        if not turn:
             raise TieError(
                 "two strands meet at a crossing instant; the loop leaves the "
                 "configuration space between frames"
             )
+        signs.append(1 if turn > 0 else -1)
+        times.append((-a, b))
     crossings = range(len(signs))
     if len(set(signs)) > 1:
         # The key difference Re d + eps Im d of a pair vanishes at
         # tau(eps) = -(a + eps a')/(b + eps b') = tau0 + c eps + O(eps^2), with
         # tau0 = -a/b and c = (a b' - a' b)/b^2, which has the crossing's sign.
         # Runs of one sign are read whole, so only crossings of opposite signs
-        # need ordering, and (tau0, sign) is the key.  The float tau0 = a/(a - Re dF) is within 2^-50 of the exact
-        # one, as a and Re dF have opposite signs.
-        times = (dE.real / (dE.real - dF.real)).tolist()
-
-        def exact_time(i: int) -> Fraction:
-            a, _, b, _ = _exact_pair(E, F, p[i], q[i])
-            return -a / b
-
+        # need ordering, and (tau0, sign) is the key.  The pair's order makes
+        # a <= 0 <= a + b, so b > 0 unless the turn is 0, and the times
+        # compare by cross-multiplication.
         def compare(i: int, j: int) -> int:
-            if abs(times[i] - times[j]) > 2.0**-48:
-                return -1 if times[i] < times[j] else 1
-            ti, tj = exact_time(i), exact_time(j)
-            return (ti > tj) - (ti < tj) or signs[i] - signs[j]
+            (ni, di), (nj, dj) = times[i], times[j]
+            x, y = ni * dj, nj * di
+            return (x > y) - (x < y) or signs[i] - signs[j]
 
         crossings = sorted(crossings, key=cmp_to_key(compare))
     # each maximal run of one sign is a permutation braid: its crossings

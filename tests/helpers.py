@@ -9,10 +9,11 @@ renormalisation and reduced words, the one-letter-per-factor combing and the
 frame-by-frame loop functions are the references for the package's Garside
 kernel, identity-free combing and batched loop layer; the name-based coset
 table walk is the reference for the column-based closing check.  The last
-section keeps three earlier package paths as references for their
+two sections keep four earlier package paths as references for their
 replacements: word-problem equality by one normal form of u v^-1, the
-three-phase Smith normal form, and the Todd-Coxeter enumerator whose table
-readers resolved merged cosets with find.
+three-phase Smith normal form, the Todd-Coxeter enumerator whose table
+readers resolved merged cosets with find, and the braid reader that decided
+crossings in floats under rounding bounds, with Fractions behind them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ import cmath
 import itertools
 import math
 import random
+from fractions import Fraction
+from functools import cmp_to_key
+from itertools import groupby
 
 import numpy as np
 
@@ -709,3 +713,95 @@ def reference_todd_coxeter(p, subgroup=(), max_cosets: int = 10**5):
     if not capped and not result.verify():
         raise RuntimeError("coset table failed its closing consistency check")
     return result
+
+
+# ---------------------------------------------------------------------------
+# the exact braid reader with a float filter: crossing signs and times decided
+# in floats where a rounding bound certifies them and in Fractions otherwise
+# (the package now decides every crossing in integers)
+
+
+def _exact_pair(E: np.ndarray, F: np.ndarray, p: int, q: int) -> tuple[Fraction, ...]:
+    """(a, a', b, b') exactly: a + i a' = E[p] - E[q], and b + i b' is how
+    much that difference changes from E to F."""
+    a = Fraction(E[p].real) - Fraction(E[q].real)
+    a1 = Fraction(E[p].imag) - Fraction(E[q].imag)
+    b = Fraction(F[p].real) - Fraction(F[q].real) - a
+    b1 = Fraction(F[p].imag) - Fraction(F[q].imag) - a1
+    return a, a1, b, b1
+
+
+def _filtered_step_letters(E: np.ndarray, F: np.ndarray, rankE: np.ndarray, rankF: np.ndarray):
+    """The letters of the linear step from frame E to frame F, given the
+    (Re, Im) ranks of both frames."""
+    from confgroups.braids import _reduced_word
+    from confgroups.loops import TieError
+
+    # the pairs (p, q) with p before q at E and after it at F
+    p, q = np.nonzero((rankE[:, None] < rankE) & (rankF[:, None] > rankF))
+    dE, dF = E[p] - E[q], F[p] - F[q]
+    # a crossing is positive when the pair's difference turns counterclockwise:
+    # the sign of Re dE Im dF - Im dE Re dF, decided in floats when it exceeds
+    # the rounding bound and exactly otherwise; 0 is a collision
+    left, right = dE.real * dF.imag, dE.imag * dF.real
+    turn = left - right
+    signs = np.sign(turn).astype(int).tolist()
+    unsure = np.abs(turn) <= 2.0**-50 * (np.abs(left) + np.abs(right)) + 2.0**-1000
+    for i in np.flatnonzero(unsure).tolist():
+        a, a1, b, b1 = _exact_pair(E, F, p[i], q[i])
+        signs[i] = (a * b1 > a1 * b) - (a * b1 < a1 * b)
+        if not signs[i]:
+            raise TieError(
+                "two strands meet at a crossing instant; the loop leaves the "
+                "configuration space between frames"
+            )
+    crossings = range(len(signs))
+    if len(set(signs)) > 1:
+        # The key difference Re d + eps Im d of a pair vanishes at
+        # tau(eps) = -(a + eps a')/(b + eps b') = tau0 + c eps + O(eps^2), with
+        # tau0 = -a/b and c = (a b' - a' b)/b^2, which has the crossing's sign.
+        # Runs of one sign are read whole, so only crossings of opposite signs
+        # need ordering, and (tau0, sign) is the key.  The float tau0 = a/(a - Re dF) is within 2^-50 of the exact
+        # one, as a and Re dF have opposite signs.
+        times = (dE.real / (dE.real - dF.real)).tolist()
+
+        def exact_time(i: int) -> Fraction:
+            a, _, b, _ = _exact_pair(E, F, p[i], q[i])
+            return -a / b
+
+        def compare(i: int, j: int) -> int:
+            if abs(times[i] - times[j]) > 2.0**-48:
+                return -1 if times[i] < times[j] else 1
+            ti, tj = exact_time(i), exact_time(j)
+            return (ti > tj) - (ti < tj) or signs[i] - signs[j]
+
+        crossings = sorted(crossings, key=cmp_to_key(compare))
+    # each maximal run of one sign is a permutation braid: its crossings
+    # reverse pairs that cross once, so its permutation fixes it
+    rank = rankE.tolist()
+    letters: list[tuple[int, int]] = []
+    for sign, run in groupby(crossings, key=signs.__getitem__):
+        at = sorted(range(len(rank)), key=rank.__getitem__)
+        for i in run:
+            rank[p[i]] += 1
+            rank[q[i]] -= 1
+        letters += [(j, sign) for j in _reduced_word(tuple(rank[s] for s in at))]
+    return letters
+
+
+def reference_filtered_extract_braid(loop: ConfigLoop) -> BraidWord:
+    """Braid word of a loop of collinear configurations (n = 1, or all frames
+    on one common complex line)."""
+    from confgroups.braids import BraidWord
+    from confgroups.loops import _project_to_line
+
+    if loop.k == 1:
+        return BraidWord(1)
+    zf = _project_to_line(loop, _LINE_TOL)
+    # by Re + eps Im: the real-part order of the line turned by an infinitesimal angle
+    order = np.lexsort((zf.imag, zf.real), axis=-1)
+    letters: list[tuple[int, int]] = []
+    for t in np.flatnonzero(np.any(order[1:] != order[:-1], axis=1)).tolist():
+        rankE, rankF = np.argsort(order[t : t + 2], axis=1)
+        letters += _filtered_step_letters(zf[t], zf[t + 1], rankE, rankF)
+    return BraidWord(loop.k, tuple(letters))

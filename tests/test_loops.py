@@ -1,6 +1,9 @@
 """Sampled configuration loops: span checks, braid extraction, det winding."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -576,6 +579,50 @@ def test_batched_braid_extraction_matches_per_frame_reference():
         assert got == _outcome(helpers.reference_extract_braid, loop)
         kinds.add(type(got).__name__ if isinstance(got, BraidWord) else got[0].__name__)
     assert kinds == {"BraidWord", "TieError"}
+
+
+def _differential_loops(seed, count):
+    """Loops of k = 2..5 points in C over 3 to 6 frames: integer grids (exact
+    ties and collisions), the same grids shifted by amounts at or below an
+    ulp, and random floats; draws that ConfigLoop rejects are skipped."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        k, frames, kind = int(rng.integers(2, 6)), int(rng.integers(3, 7)), len(out) % 3
+        if kind == 2:
+            z = rng.normal(size=(frames, k)) + 1j * rng.normal(size=(frames, k))
+        else:
+            re, im = rng.integers(-2, 3, size=(2, frames, k))
+            z = re + 1j * im
+            if kind == 1:
+                shift = (2.0**-52, 2.0**-60, 1e-17, 1e-300)[int(rng.integers(4))]
+                re, im = rng.integers(-1, 2, size=(2, frames, k))
+                z = z + shift * (re + 1j * im)
+        z[-1] = z[0]
+        try:
+            out.append(ConfigLoop(k, 1, z[:, :, None]))
+        except LoopError:
+            continue
+    return out
+
+
+def test_integer_reader_matches_the_float_filter_reader():
+    # every crossing decided in integers gives the words and the collisions
+    # of the reader that decided them in floats under rounding bounds
+    kinds = set()
+    for loop in _differential_loops(17, 3000):
+        got = _outcome(extract_braid, loop)
+        assert got == _outcome(helpers.reference_filtered_extract_braid, loop)
+        kinds.add(type(got).__name__ if isinstance(got, BraidWord) else got[0].__name__)
+    assert kinds == {"BraidWord", "TieError"}
+
+
+def test_import_loads_no_rational_arithmetic():
+    # every crossing is decided in integers, so neither fractions nor decimal is imported
+    code = "import sys, confgroups; print(sorted({'decimal', 'fractions'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(loops.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout == "[]\n", out.stderr
 
 
 def test_batched_span_and_winding_match_per_frame_reference():
