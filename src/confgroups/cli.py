@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import braids, fpgroups, groups, loops
@@ -24,10 +25,8 @@ _GROUP_NAMES = {family.cli_name: tag for tag, family in groups._FAMILIES.items()
 
 
 def _emit(args: argparse.Namespace, human: str, obj: object) -> None:
-    if args.json:
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        print(human)
+    # flushed, so a closed pipe raises in main and not at interpreter exit
+    print(json.dumps(obj, sort_keys=True, indent=2) if args.json else human, flush=True)
 
 
 def _descriptor_from_args(args: argparse.Namespace) -> groups.GroupDescriptor:
@@ -278,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader left: as the signal docs advise, drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as exc:
         print(parser.format_usage(), file=sys.stderr, end="")
         print(f"confgroups: error: {exc}", file=sys.stderr)

@@ -5,6 +5,10 @@ stored fully expanded so scanning is a plain walk.  Text syntax:
 ``gens: a, b ; rels: a b a B A B`` -- capitalised first letter means the
 inverse letter, relators are comma-separated.
 
+Each builtin presentation is one row of ``_BUILTINS``: its alphabet (Artin
+``s{i}`` or pure ``a{i}_{j}``, each with its own relators), the relators it
+adds to the alphabet's, and their letter count in closed form.
+
 Coset tables have one column per letter, generator t at 2t and its inverse at
 2t+1 (so ``c ^ 1`` is the inverse column); ``_columns`` is the one encoder and
 rejects any letter but (generator, +1 or -1).  Coset enumeration is plain HLT
@@ -21,13 +25,13 @@ the invariant factors are unique, so any pivot order gives the same answer.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
-from .braids import _MAX_LETTERS, pure_generator_order
+from .braids import _MAX_LETTERS, delta_word, pure_generator_order
 
 Word = tuple[tuple[str, int], ...]
 
@@ -130,14 +134,6 @@ def format_presentation(p: Presentation) -> str:
 # built-in presentations
 
 
-def _artin_names(k: int) -> tuple[str, ...]:
-    return tuple(f"s{i}" for i in range(1, k))
-
-
-def _pure_name(i: int, j: int) -> str:
-    return f"a{i}_{j}"
-
-
 def _artin_relators(k: int) -> Iterator[Word]:
     for x in range(1, k):
         for y in range(x + 1, k):
@@ -150,7 +146,7 @@ def _artin_relators(k: int) -> Iterator[Word]:
 
 def _yang_baxter_relators(k: int) -> Iterator[Word]:
     def gen(i: int, j: int) -> Word:
-        return ((_pure_name(i, j), 1),)
+        return ((f"a{i}_{j}", 1),)
 
     # triple relators: the three cyclic products a_ij a_ik a_jk agree
     for i in range(1, k + 1):
@@ -176,58 +172,61 @@ def _yang_baxter_relators(k: int) -> Iterator[Word]:
                     yield commutator_word(a_jl, a_kl + a_ik + inverse_word(a_kl))
 
 
-def _relator_letters(name: str, k: int) -> int:
-    """The letter count of _relators(name, k), in closed form: 4 letters per
-    commuting pair and 6 per braid relation of the Artin relators, 12 per
-    triple and 24 per quadruple of the Yang-Baxter relators, then the extra
-    relators of the quotients."""
-    artin = 4 * comb(k - 1, 2) + 2 * (k - 2)
-    pure = 12 * comb(k, 3) + 24 * comb(k, 4)
-    counts = {
-        "artin": artin,
-        "braid_mod_delta_sq": artin + k * (k - 1),
-        "unordered_top": artin + 4 * (k - 2),
-        "pure_braid": pure,
-        "pure_braid_mod_D": pure + comb(k, 2),
-    }
-    if name not in counts:
-        raise PresentationError(f"unknown presentation name {name!r}")
-    return counts[name]
+# An alphabet: its generator names at size k, its own relators, and their
+# letter count in closed form, 4 letters per commuting pair and 6 per braid
+# relation of the Artin relators, 12 per triple and 24 per quadruple of the
+# Yang-Baxter relators.  The pure generators come in the full twist's order.
+_Alphabet = namedtuple("_Alphabet", "generators relators letters")
+_ARTIN = _Alphabet(lambda k: tuple(f"s{i}" for i in range(1, k)),
+                   _artin_relators, lambda k: 4 * comb(k - 1, 2) + 2 * (k - 2))
+_PURE = _Alphabet(lambda k: tuple(f"a{g.i}_{g.j}" for g in pure_generator_order(k)),
+                  _yang_baxter_relators, lambda k: 12 * comb(k, 3) + 24 * comb(k, 4))
 
 
-def _relators(name: str, k: int) -> Iterator[Word]:
-    """The relators of a builtin presentation (a name _relator_letters
-    accepts), generated one at a time."""
-    if name in ("artin", "braid_mod_delta_sq", "unordered_top"):
-        yield from _artin_relators(k)
-    else:
-        yield from _yang_baxter_relators(k)
-    if name == "pure_braid_mod_D":  # the full twist
-        yield tuple((_pure_name(gen.i, gen.j), 1) for gen in pure_generator_order(k))
-    if name == "braid_mod_delta_sq":  # the staircase Delta, twice
-        yield 2 * tuple((f"s{i}", 1) for top in range(1, k) for i in range(top, 0, -1))
-    if name == "unordered_top":  # s_i^2 = s_(i+1)^2
-        for i in range(1, k - 1):
-            yield ((f"s{i}", 1), (f"s{i}", 1), (f"s{i + 1}", -1), (f"s{i + 1}", -1))
+@dataclass(frozen=True)
+class _Builtin:
+    alphabet: _Alphabet
+    relators: Callable[[int], Iterable[Word]] = lambda k: ()  # added to the alphabet's own
+    letters: Callable[[int], int] = lambda k: 0  # of the added relators, in closed form
+
+
+_BUILTINS = {
+    "artin": _Builtin(_ARTIN),
+    "braid_mod_delta_sq": _Builtin(  # the half twist, twice
+        _ARTIN, lambda k: [2 * tuple((f"s{i}", 1) for i, _ in delta_word(k).letters)],
+        lambda k: k * (k - 1),
+    ),
+    "unordered_top": _Builtin(  # s_i^2 = s_(i+1)^2
+        _ARTIN, lambda k: (((f"s{i}", 1),) * 2 + ((f"s{i + 1}", -1),) * 2 for i in range(1, k - 1)),
+        lambda k: 4 * (k - 2),
+    ),
+    "symmetric": _Builtin(  # s_i^2 = 1
+        _ARTIN, lambda k: (((f"s{i}", 1),) * 2 for i in range(1, k)), lambda k: 2 * (k - 1)
+    ),
+    "pure_braid": _Builtin(_PURE),
+    "pure_braid_mod_D": _Builtin(  # the full twist
+        _PURE, lambda k: [tuple((g, 1) for g in _PURE.generators(k))], lambda k: comb(k, 2)
+    ),
+}
 
 
 def builtin_presentation(name: str, size: int) -> Presentation:
-    """Named presentations; size is the strand count (artin, pure_braid and
-    their quotients) or the point count n+1 (unordered_top).
+    """Named presentations; size is the strand count (artin, symmetric,
+    pure_braid and their quotients) or the point count n+1 (unordered_top).
 
     The relators may hold at most braids._MAX_LETTERS letters in all; their
     count is known in closed form, so an oversized request raises
     PresentationError before any relator is generated (pure_braid allows
-    size <= 32, artin size <= 708)."""
+    size <= 32, artin size <= 708, symmetric size <= 707)."""
     if size < 2:
         raise PresentationError(f"{name} needs size >= 2, got {size}")
-    if _relator_letters(name, size) > _MAX_LETTERS:
+    row = _BUILTINS.get(name)
+    if row is None:
+        raise PresentationError(f"unknown presentation name {name!r}")
+    alphabet = row.alphabet
+    if alphabet.letters(size) + row.letters(size) > _MAX_LETTERS:
         raise PresentationError(f"{name}:{size} has over {_MAX_LETTERS} relator letters")
-    if name.startswith("pure"):
-        gens = tuple(_pure_name(gen.i, gen.j) for gen in pure_generator_order(size))
-    else:
-        gens = _artin_names(size)
-    return Presentation(gens, tuple(_relators(name, size)))
+    return Presentation(alphabet.generators(size), (*alphabet.relators(size), *row.relators(size)))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .braids import (
     pure_generator_order,
     pure_word_to_braid,
 )
-from .fpgroups import Word, builtin_presentation, inverse_word
+from .fpgroups import _BUILTINS, _PURE, Word, builtin_presentation, inverse_word
 
 
 class GroupError(ValueError):
@@ -332,31 +332,28 @@ def central_element(n: int) -> BraidWord:
 # relators
 
 
-def _relators(name: str, size: int, *, squares: bool = False) -> list:
-    """The relators of builtin_presentation(name, size), plus the square of
-    each generator when asked, over a group's own alphabet: s_i is (i, 1), or
-    sigma_prime(i, size - 1) in the top group; a{i}_{j} is a[i,j]."""
+def _relators(name: str, size: int) -> list:
+    """The relators of builtin_presentation(name, size) over a group's own
+    alphabet: s_i is (i, 1), or sigma_prime(i, size - 1) in the top group;
+    a{i}_{j} is a[i,j]."""
     pres = builtin_presentation(name, size)
-    pure = name.startswith("pure")  # the a{i}_{j} alphabet, spelled as pure words
-    if pure:
-        images = [((gen, 1),) for gen in pure_generator_order(size)]
-    else:
-        top = name == "unordered_top"
-        images = [sigma_prime(i, size - 1).letters if top else ((i, 1),) for i in range(1, size)]
+    pure = _BUILTINS[name].alphabet is _PURE  # spelled as pure words
+    top = name == "unordered_top"
+    ids = pure_generator_order(size) if pure else range(1, size)
+    images = [sigma_prime(i, size - 1).letters if top else ((i, 1),) for i in ids]
     image = {}
     for g, letters in zip(pres.generators, images):
         image[g, 1], image[g, -1] = letters, inverse_word(letters)
-    rels = pres.relators + tuple(((g, 1), (g, 1)) for g in pres.generators if squares)
-    _check_letter_budget(sum(len(image[letter]) for rel in rels for letter in rel))
-    words = [tuple(x for letter in rel for x in image[letter]) for rel in rels]
+    _check_letter_budget(sum(len(image[letter]) for rel in pres.relators for letter in rel))
+    words = [tuple(x for letter in rel for x in image[letter]) for rel in pres.relators]
     return words if pure else [BraidWord(size, w) for w in words]
 
 
 def descriptor_relators(d: GroupDescriptor) -> list[object]:
     """Defining relators over the descriptor's own alphabet, for congruence
-    testing: those of the tag's builtin presentation (Artin relators, plus
-    every s_i^2 for the symmetric group; Yang-Baxter relators for pure tags),
-    the top tag's in the geometric alphabet; [0] for the integers."""
+    testing: those of the tag's builtin presentation (the symmetric group's
+    is the Artin relators, then every s_i^2), the top tag's in the geometric
+    alphabet; [0] for the integers."""
     return _FAMILIES[d.tag].relators(d.parameter)
 
 
@@ -419,7 +416,7 @@ _FAMILIES: dict[str, _Family] = {
         "sym", UNORDERED, 2, _STRANDS, lambda p: (p, 2, 2),
         lambda p: f"Σ_{p}", "Sigma_k (off the loci i=1 and i=n=k-1)",
         parse_word, _s_image, None, _s_image,
-        lambda p: _relators("artin", p, squares=True),
+        lambda p: _relators("symmetric", p),
     ),
     "pure_braid": _Family(
         "pure", ORDERED, 2, _STRANDS, lambda p: (p, 1, 1),

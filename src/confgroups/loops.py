@@ -74,6 +74,7 @@ _COINCIDENT_TOL = 1e-9
 _LINE_TOL = 1e-8
 _SPAN_TOL = 1e-8
 _DET_FLOOR = 1e-12
+_REFINE_BUDGET = 1024  # midpoint evaluations det_winding may add
 _CLOSURE_TOL = 1e-6
 _CHUNK_COORDINATES = 256 * 15 * 6  # coordinates of 640 frames at k = n = 6
 _MAX_COORDINATES = 10**7  # frames * k * n of a generated loop: 160 MB of complex
@@ -415,7 +416,7 @@ def _dets_and_floors(frames: np.ndarray, unit: float) -> tuple[np.ndarray, np.nd
     return np.linalg.det(diffs), _DET_FLOOR * np.maximum(unit ** -diffs.shape[1], hadamard)
 
 
-def det_winding(loop: ConfigLoop, *, tol: float = _SPAN_TOL, refine_budget: int = 1024) -> int:
+def det_winding(loop: ConfigLoop, *, tol: float = _SPAN_TOL) -> int:
     """Winding number around 0 of the determinant path of a full-span loop of
     k = n+1 points.  The loop must close pointwise: one that closes only up
     to relabeling has a determinant path that need not close."""
@@ -436,7 +437,7 @@ def det_winding(loop: ConfigLoop, *, tol: float = _SPAN_TOL, refine_budget: int 
     small = np.flatnonzero(np.hypot(dets.real, dets.imag) < floors)
     if small.size:
         raise DegenerateSpanError(f"frame {small[0]} determinant below the floor")
-    budget = [refine_budget]
+    budget = [_REFINE_BUDGET]
 
     def segment(a: np.ndarray, b: np.ndarray, det_a: complex, det_b: complex) -> float:
         delta = cmath.phase(det_b / det_a)

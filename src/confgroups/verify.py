@@ -75,10 +75,7 @@ def _inclusion_claims(max_k: int) -> list[ClaimResult]:
     out = []
     for k in range(3, min(max_k, 5) + 1):
         pres = _f.builtin_presentation("pure_braid", k)
-        images = {
-            _f._pure_name(gen.i, gen.j): _b.pure_generator(gen)
-            for gen in _b.pure_generator_order(k)
-        }
+        images = dict(zip(pres.generators, map(_b.pure_generator, _b.pure_generator_order(k))))
         report = _f.verify_homomorphism(
             pres,
             images,

@@ -139,12 +139,9 @@ def perm_of_letters(size: int, swaps: list[tuple[int, int]]) -> tuple[int, ...]:
     return p
 
 
-def perm_inversions(p: tuple[int, ...]) -> int:
-    return sum(1 for a in range(len(p)) for b in range(a + 1, len(p)) if p[a] > p[b])
-
-
 # ---------------------------------------------------------------------------
-# random words and relator insertion (letters are (index, sign) pairs)
+# random words and relator insertion: braid letters are (index, sign) pairs,
+# group words are spelled over the descriptor's own alphabet
 
 
 def random_letters(rng: random.Random, k: int, length: int) -> list[tuple[int, int]]:
@@ -178,17 +175,45 @@ def insert_relator(
     return letters[:pos] + rel + letters[pos:]
 
 
-def insert_word_relator(
-    letters: list[tuple[int, int]],
-    relators: list[list[tuple[int, int]]],
-    rng: random.Random,
-) -> list[tuple[int, int]]:
-    """Insert one of the given relator words (or its inverse) at a random spot."""
-    pos = rng.randint(0, len(letters))
-    rel = list(relators[rng.randrange(len(relators))])
-    if rng.random() < 0.5:
-        rel = [(i, -s) for i, s in reversed(rel)]
-    return list(letters[:pos]) + rel + list(letters[pos:])
+def random_group_word(d, rng: random.Random, length: int):
+    """A random word over the descriptor's own alphabet: an exponent for the
+    integers, None for the trivial group, (PureGeneratorId, sign) letters for
+    the pure tags and a BraidWord for the rest."""
+    from confgroups.braids import BraidWord, PureGeneratorId
+
+    if d.tag == "integers":
+        return rng.randint(-5, 5)
+    if d.tag == "trivial":
+        return None
+    k = d.parameter
+    if d.tag in ("pure_braid", "pure_braid_mod_D"):
+        pairs = [(i, j) for j in range(2, k + 1) for i in range(1, j)]
+        return tuple(
+            (PureGeneratorId(*rng.choice(pairs), k), rng.choice((1, -1)))
+            for _ in range(length)
+        )
+    return BraidWord(k, tuple(random_letters(rng, k, length)))
+
+
+def insert_group_relator(d, w, rng: random.Random):
+    """w with one of the descriptor's relators, or its inverse, inserted at a
+    random spot; the integers' relator 0 is added to the exponent."""
+    from confgroups.braids import BraidWord
+    from confgroups.groups import descriptor_relators
+
+    rels = descriptor_relators(d)
+    if d.tag == "integers":
+        return w + rng.choice(rels)
+    rel = rng.choice(rels)
+    if isinstance(w, BraidWord):
+        cut = rng.randrange(len(w.letters) + 1)
+        body = rel.letters if rng.random() < 0.5 else tuple(
+            (i, -s) for i, s in reversed(rel.letters)
+        )
+        return BraidWord(w.strands, w.letters[:cut] + body + w.letters[cut:])
+    cut = rng.randrange(len(w) + 1)
+    body = rel if rng.random() < 0.5 else tuple((g, -s) for g, s in reversed(rel))
+    return w[:cut] + body + w[cut:]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from confgroups.groups import (
     classify,
     central_element,
     descriptor_for,
-    descriptor_relators,
     element_from_word,
     equal_in_group,
     geometric_to_artin_word,
@@ -222,37 +221,6 @@ def test_criterion_9_classification_sweep():
                         assert d.tag == expected, (k, i, n, flavor)
 
 
-def _random_group_word(d, rng, length):
-    if d.tag == "integers":
-        return rng.randint(-5, 5)
-    if d.tag in ("pure_braid", "pure_braid_mod_D"):
-        k = d.parameter
-        pairs = [(i, j) for j in range(2, k + 1) for i in range(1, j)]
-        return tuple(
-            (PureGeneratorId(*rng.choice(pairs), k), rng.choice((1, -1)))
-            for _ in range(length)
-        )
-    return BraidWord(d.parameter, tuple(helpers.random_letters(rng, d.parameter, length)))
-
-
-def _insert_group_relator(d, w, rng):
-    rels = descriptor_relators(d)
-    if d.tag == "integers":
-        return w + rng.choice(rels)
-    rel = rng.choice(rels)
-    if isinstance(w, BraidWord):
-        cut = rng.randrange(len(w.letters) + 1)
-        body = (
-            rel.letters
-            if rng.random() < 0.5
-            else tuple((i, -s) for i, s in reversed(rel.letters))
-        )
-        return BraidWord(w.strands, w.letters[:cut] + body + w.letters[cut:])
-    cut = rng.randrange(len(w) + 1)
-    body = rel if rng.random() < 0.5 else tuple((g, -s) for g, s in reversed(rel))
-    return w[:cut] + body + w[cut:]
-
-
 def test_criterion_10_property_suites():
     with criterion(10, "property suites at stated sizes; full verification pass", budget=60.0):
         # normal-form soundness: 10^4 relator insertions, k <= 6, length <= 60
@@ -277,8 +245,8 @@ def test_criterion_10_property_suites():
             d = descriptor_for(tag, parameter)
             rng = random.Random(1000 + len(tag))
             for _ in range(1000):
-                w = _random_group_word(d, rng, rng.randrange(0, 11))
-                v = _insert_group_relator(d, w, rng)
+                w = helpers.random_group_word(d, rng, rng.randrange(0, 11))
+                v = helpers.insert_group_relator(d, w, rng)
                 assert equal_in_group(d, w, v), (tag, w, v)
         trivial = descriptor_for("trivial")
         assert equal_in_group(trivial, None, None)  # no relators to insert

@@ -4,14 +4,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from confgroups import cli
 from confgroups.cli import _GROUP_NAMES, main
 from confgroups.loops import loop_to_json_obj, make_gamma_loop
 
@@ -89,6 +93,8 @@ def test_abelianize(capsys):
     assert (code, out) == (0, "Z/6 (rank 0, torsion [6])\n")
     code, out, _ = run(capsys, "abelianize", "--presentation", "artin:4")
     assert out == "Z (rank 1, torsion [])\n"
+    code, out, _ = run(capsys, "abelianize", "--presentation", "symmetric:4")
+    assert (code, out) == (0, "Z/2 (rank 0, torsion [2])\n")
 
 
 def test_analyze_loop_winding_and_span(capsys):
@@ -216,6 +222,25 @@ def test_argparse_errors_exit_2(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "argv", [["verify-paper"], ["analyze-loop", "--generate", "gamma:k=3", "--extract-braid"]]
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    # the pipe's read end is closed before the command starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "PYTHONUNBUFFERED": unbuffered}
+    try:
+        done = subprocess.run([sys.executable, "-m", "confgroups.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr, done.stderr
 
 
 def test_domain_errors_exit_1(capsys):

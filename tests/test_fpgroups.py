@@ -132,31 +132,52 @@ def test_builtin_errors():
             builtin_presentation(name, 10**4)
 
 
-_BUILTIN_NAMES = ("artin", "braid_mod_delta_sq", "unordered_top", "pure_braid", "pure_braid_mod_D")
+_BUILTIN_NAMES = (
+    "artin", "braid_mod_delta_sq", "unordered_top", "symmetric", "pure_braid", "pure_braid_mod_D"
+)
+
+
+def _closed_form_letters(name, k):
+    row = fpgroups._BUILTINS[name]
+    return row.alphabet.letters(k) + row.letters(k)
 
 
 def test_relator_letter_counts_are_the_generated_totals():
+    assert set(_BUILTIN_NAMES) == set(fpgroups._BUILTINS)
     for name in _BUILTIN_NAMES:
         for k in range(2, 14):
-            total = sum(len(rel) for rel in fpgroups._relators(name, k))
-            assert fpgroups._relator_letters(name, k) == total, (name, k)
-    # the budget's edges: pure_braid up to 32 strands, artin up to 708
-    for name, k in (("pure_braid", 32), ("artin", 708)):
-        assert fpgroups._relator_letters(name, k) <= _MAX_LETTERS
+            total = sum(len(rel) for rel in builtin_presentation(name, k).relators)
+            assert _closed_form_letters(name, k) == total, (name, k)
+    # the budget's edges: pure_braid up to 32 strands, artin up to 708, symmetric up to 707
+    for name, k in (("pure_braid", 32), ("artin", 708), ("symmetric", 707)):
+        assert _closed_form_letters(name, k) <= _MAX_LETTERS < _closed_form_letters(name, k + 1)
         with pytest.raises(PresentationError, match="relator letters"):
             builtin_presentation(name, k + 1)
 
 
 def test_oversized_presentation_is_refused_before_generation(monkeypatch):
-    def fail(name, k):
-        raise AssertionError("relators generated for an oversized request")
+    def fail(k):
+        raise AssertionError("generators or relators made for an oversized request")
 
-    monkeypatch.setattr(fpgroups, "_relators", fail)
+    for name, row in fpgroups._BUILTINS.items():
+        alphabet = row.alphabet._replace(generators=fail, relators=fail)
+        monkeypatch.setitem(
+            fpgroups._BUILTINS, name, dataclasses.replace(row, alphabet=alphabet, relators=fail)
+        )
     for name in _BUILTIN_NAMES:
         with pytest.raises(PresentationError, match="relator letters"):
             builtin_presentation(name, 10**4)
     with pytest.raises(PresentationError, match="relator letters"):
         builtin_presentation("artin", 10**7)
+
+
+def test_symmetric_is_artin_then_the_squares():
+    for k in range(2, 9):
+        artin = builtin_presentation("artin", k)
+        squares = tuple(((g, 1), (g, 1)) for g in artin.generators)
+        assert builtin_presentation("symmetric", k) == Presentation(
+            artin.generators, artin.relators + squares
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +263,9 @@ def test_missing_image_raises():
 # Todd-Coxeter
 
 
-def _with_squares(p):
-    squares = tuple(((g, 1), (g, 1)) for g in p.generators)
-    return Presentation(p.generators, p.relators + squares)
-
-
 def test_symmetric_group_orders():
     for k, order in ((3, 6), (4, 24)):
-        p = _with_squares(builtin_presentation("artin", k))
+        p = builtin_presentation("symmetric", k)
         table = todd_coxeter(p)
         assert table.status == "complete"
         assert table.num_cosets == order
@@ -285,7 +301,7 @@ def test_cap_is_a_normal_outcome():
 
 
 def test_trace_walks_the_table():
-    p = _with_squares(builtin_presentation("artin", 3))
+    p = builtin_presentation("symmetric", 3)
     table = todd_coxeter(p)
     w = parse_abstract_word("s1 s2 s1", p.generators)
     c = table.trace(w)
@@ -351,7 +367,7 @@ def test_malformed_subgroup_letter_is_a_presentation_error(letter):
 
 @pytest.mark.parametrize("letter", _BAD_LETTERS, ids=repr)
 def test_malformed_trace_letter_is_a_presentation_error(letter):
-    table = todd_coxeter(_with_squares(builtin_presentation("artin", 3)))
+    table = todd_coxeter(builtin_presentation("symmetric", 3))
     with pytest.raises(PresentationError):
         table.trace((letter,))
 
@@ -363,7 +379,7 @@ def _enumerated_tables(enumerate_cosets=todd_coxeter):
         for k in (3, 4):
             top = builtin_presentation("unordered_top", k)
             tables.append(enumerate_cosets(top, ((("s1", 1), ("s1", 1)),), max_cosets=cap))
-            tables.append(enumerate_cosets(_with_squares(builtin_presentation("artin", k)), max_cosets=cap))
+            tables.append(enumerate_cosets(builtin_presentation("symmetric", k), max_cosets=cap))
             pure = builtin_presentation("pure_braid_mod_D", k)
             sub = tuple(((g, 1), (g, 1)) for g in pure.generators)
             tables.append(enumerate_cosets(pure, sub, max_cosets=cap))
@@ -399,7 +415,7 @@ def test_enumeration_matches_stale_entry_reference_on_enumerated_tables():
 
 
 def test_closing_check_agrees_with_reference_on_corrupted_tables():
-    good = todd_coxeter(_with_squares(builtin_presentation("artin", 4)))
+    good = todd_coxeter(builtin_presentation("symmetric", 4))
     top = todd_coxeter(builtin_presentation("unordered_top", 4), ((("s1", 1), ("s1", 1)),))
     for table in (good, top):
         rows = [list(r) for r in table.table]
@@ -423,7 +439,7 @@ def test_todd_coxeter_raises_when_closing_check_fails(monkeypatch):
     checked = []
     monkeypatch.setattr(fpgroups.CosetTable, "verify", lambda self: checked.append(self) or False)
     with pytest.raises(RuntimeError, match="closing consistency check"):
-        todd_coxeter(_with_squares(builtin_presentation("artin", 3)))
+        todd_coxeter(builtin_presentation("symmetric", 3))
     assert len(checked) == 1
     # a capped table is not checked and is returned as it is
     capped = todd_coxeter(Presentation(("a", "b"), ()), max_cosets=50)

@@ -11,7 +11,6 @@ from confgroups.braids import (
     BraidError,
     BraidWord,
     Permutation,
-    PureGeneratorId,
     delta_word,
     equal_in_braid,
     exponent_sum,
@@ -268,38 +267,6 @@ def test_exponent_parity_invariant():
 # congruence: inserting defining relators never changes the element
 
 
-def _random_word_for(d, rng, length):
-    if d.tag == "integers":
-        return rng.randint(-5, 5)
-    if d.tag == "trivial":
-        return None
-    if d.tag in ("pure_braid", "pure_braid_mod_D"):
-        k = d.parameter
-        pairs = [(i, j) for j in range(2, k + 1) for i in range(1, j)]
-        return tuple(
-            (PureGeneratorId(*rng.choice(pairs), k), rng.choice((1, -1)))
-            for _ in range(length)
-        )
-    k = d.parameter
-    return BraidWord(k, tuple(helpers.random_letters(rng, k, length)))
-
-
-def _insert_relator_word(d, w, rng):
-    rels = descriptor_relators(d)
-    if d.tag == "integers":
-        return w + rng.choice(rels)
-    rel = rng.choice(rels)
-    if isinstance(w, BraidWord):
-        cut = rng.randrange(len(w.letters) + 1)
-        body = rel.letters if rng.random() < 0.5 else tuple(
-            (i, -s) for i, s in reversed(rel.letters)
-        )
-        return BraidWord(w.strands, w.letters[:cut] + body + w.letters[cut:])
-    cut = rng.randrange(len(w) + 1)
-    body = rel if rng.random() < 0.5 else tuple((g, -s) for g, s in reversed(rel))
-    return w[:cut] + body + w[cut:]
-
-
 @pytest.mark.parametrize(
     "tag,parameter",
     [
@@ -316,8 +283,8 @@ def test_relator_insertion_congruence(tag, parameter):
     rng = random.Random(hash(tag) & 0xFFFF)
     d = descriptor_for(tag, parameter)
     for _ in range(60):
-        w = _random_word_for(d, rng, rng.randrange(0, 10))
-        v = _insert_relator_word(d, w, rng)
+        w = helpers.random_group_word(d, rng, rng.randrange(0, 10))
+        v = helpers.insert_group_relator(d, w, rng)
         assert equal_in_group(d, w, v), (tag, w, v)
         assert element_from_word(d, w).payload == element_from_word(d, v).payload
 
@@ -331,14 +298,14 @@ def test_equality_matches_the_uv_inverse_reference():
         for parameter in (3, 4, 5):
             d = descriptor_for(tag, parameter)
             for _ in range(40):
-                u = _random_word_for(d, rng, rng.randrange(0, 10))
+                u = helpers.random_group_word(d, rng, rng.randrange(0, 10))
                 v = u
                 for _ in range(rng.randrange(1, 4)):
-                    v = _insert_relator_word(d, v, rng)
+                    v = helpers.insert_group_relator(d, v, rng)
                 if rng.random() < 0.3:
-                    v = _random_word_for(d, rng, rng.randrange(0, 10))
+                    v = helpers.random_group_word(d, rng, rng.randrange(0, 10))
                 elif rng.random() < 0.3:
-                    letter = _random_word_for(d, rng, 1)
+                    letter = helpers.random_group_word(d, rng, 1)
                     v = multiply(v, letter) if isinstance(v, BraidWord) else v + letter
                 got = equal_in_group(d, u, v)
                 assert got == helpers.reference_uv_inverse_equal(d, u, v), (tag, u, v)
@@ -362,10 +329,10 @@ def test_dynnikov_equality_matches_garside_canonical_forms():
                 twist = power(delta_word(k), 2).letters
             as_braid = (lambda w: pure_word_to_braid(k, w)) if pure else (lambda w: w)
             for _ in range(40):
-                u = _random_word_for(ds[0], rng, rng.randrange(0, 12))
+                u = helpers.random_group_word(ds[0], rng, rng.randrange(0, 12))
                 v = u
                 for _ in range(rng.randrange(0, 3) if k > 2 else 0):  # B_2, PB_2 are free
-                    v = _insert_relator_word(ds[0], v, rng)
+                    v = helpers.insert_group_relator(ds[0], v, rng)
                 for _ in range(rng.randrange(0, 3)):
                     body = twist if rng.random() < 0.5 else inverse_word(twist)
                     letters = v if pure else v.letters
@@ -373,9 +340,9 @@ def test_dynnikov_equality_matches_garside_canonical_forms():
                     letters = letters[:cut] + body + letters[cut:]
                     v = letters if pure else BraidWord(k, letters)
                 if rng.random() < 0.3:
-                    v = _random_word_for(ds[0], rng, rng.randrange(0, 12))
+                    v = helpers.random_group_word(ds[0], rng, rng.randrange(0, 12))
                 elif rng.random() < 0.3:
-                    letter = _random_word_for(ds[0], rng, 1)
+                    letter = helpers.random_group_word(ds[0], rng, 1)
                     v = v + letter if pure else multiply(v, letter)
                 got = tuple(equal_in_group(d, u, v) for d in ds)
                 expected = tuple(

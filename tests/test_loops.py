@@ -429,15 +429,16 @@ def test_winding_refinement_stability():
         assert det_winding(make_h_loop(n, 128)) == 1
 
 
-def test_winding_auto_refines_coarse_steps():
+def test_winding_auto_refines_coarse_steps(monkeypatch):
     # five frames put consecutive determinant arguments exactly pi/2 apart
     ts = np.arange(5) / 4
     z = np.exp(2j * np.pi * ts)
     arr = np.stack([np.zeros(5, dtype=complex), z], axis=1)[:, :, None]
     loop = ConfigLoop(2, 1, arr)
     assert det_winding(loop) == 1
+    monkeypatch.setattr(loops, "_REFINE_BUDGET", 0)
     with pytest.raises(LoopError):
-        det_winding(loop, refine_budget=0)
+        det_winding(loop)
 
 
 def test_winding_errors():
@@ -625,7 +626,7 @@ def test_import_loads_no_rational_arithmetic():
     assert out.stdout == "[]\n", out.stderr
 
 
-def test_batched_span_and_winding_match_per_frame_reference():
+def test_batched_span_and_winding_match_per_frame_reference(monkeypatch):
     collinear = _loop_from_points(3, 2, [[[0, 0], [1, 0], [2, 0]]] * 4)
     cases = [make_h_loop(2), make_h_loop(3, 775), make_gamma_loop(3),
              collinear, _loop_from_points(1, 2, [[[0, 0]], [[1j, 0]], [[0, 0]]])]
@@ -635,7 +636,8 @@ def test_batched_span_and_winding_match_per_frame_reference():
         got = [(r.frame_index, r.singular_values, r.dimension) for r in span_reports(loop)]
         assert got == helpers.reference_span_reports(loop)
         for budget in (0, 3, 1024):
-            w = _outcome(det_winding, loop, refine_budget=budget)
+            monkeypatch.setattr(loops, "_REFINE_BUDGET", budget)
+            w = _outcome(det_winding, loop)
             assert w == _outcome(helpers.reference_det_winding, loop, refine_budget=budget)
             windings.add(w if isinstance(w, int) else w[0].__name__)
     assert {-2, -1, 0, 1, 2, "LoopError", "DegenerateSpanError"} <= windings
