@@ -367,7 +367,7 @@ def spell_form(form: GarsideForm) -> BraidWord:
     k = form.strands
     if k == 1:
         return BraidWord(1)
-    letters = list(_power_letters(delta_word(k).letters, form.delta_power))
+    letters = list(_power_letters(_delta_letters(k), form.delta_power))
     for f in form.factors:
         letters += [(i, 1) for i in _reduced_word(f.images)]
     return BraidWord(k, tuple(letters))
@@ -377,13 +377,17 @@ def spell_form(form: GarsideForm) -> BraidWord:
 # named elements
 
 
-def delta_word(k: int) -> BraidWord:
-    """The half twist Delta_k as the staircase word (s1)(s2 s1)...(s(k-1)...s1)."""
+def _delta_letters(k: int) -> tuple[tuple[int, int], ...]:
+    """The letters of the staircase word (s1)(s2 s1)...(s(k-1)...s1)."""
     if k < 2:
         raise BraidError("the half twist needs at least 2 strands")
     _check_letter_budget(k * (k - 1) // 2)
-    letters = [(i, 1) for top in range(1, k) for i in range(top, 0, -1)]
-    return BraidWord(k, tuple(letters))
+    return tuple((i, 1) for top in range(1, k) for i in range(top, 0, -1))
+
+
+def delta_word(k: int) -> BraidWord:
+    """The half twist Delta_k as the staircase word."""
+    return BraidWord(k, _delta_letters(k))
 
 
 def pure_generator(gen: PureGeneratorId) -> BraidWord:
@@ -461,7 +465,7 @@ def _parse_token(token: str, strands: int, allow_compound: bool) -> tuple[tuple,
     if base == "delta":
         if not allow_compound:
             raise BraidError("delta is not a generator of this group")
-        return delta_word(strands).letters, exp
+        return _delta_letters(strands), exp
     raise BraidError(f"unrecognised word token {token!r}")
 
 

@@ -31,7 +31,7 @@ from itertools import chain
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
-from .braids import _MAX_LETTERS, delta_word, pure_generator_order
+from .braids import _MAX_LETTERS, _delta_letters, pure_generator_order
 
 Word = tuple[tuple[str, int], ...]
 
@@ -193,7 +193,7 @@ class _Builtin:
 _BUILTINS = {
     "artin": _Builtin(_ARTIN),
     "braid_mod_delta_sq": _Builtin(  # the half twist, twice
-        _ARTIN, lambda k: [2 * tuple((f"s{i}", 1) for i, _ in delta_word(k).letters)],
+        _ARTIN, lambda k: [2 * tuple((f"s{i}", 1) for i, _ in _delta_letters(k))],
         lambda k: k * (k - 1),
     ),
     "unordered_top": _Builtin(  # s_i^2 = s_(i+1)^2

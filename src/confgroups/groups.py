@@ -38,9 +38,9 @@ from .braids import (
     Permutation,
     PureGeneratorId,
     _check_letter_budget,
+    _delta_letters,
     _dynnikov,
     _invert,
-    delta_word,
     exponent_sum,
     garside_normal_form,
     parse_pure_word,
@@ -243,7 +243,7 @@ def _braid_family(convert: Callable[[GroupDescriptor, object], BraidWord], kill_
                 return False
             if m < 0:  # v = u Delta^(-2m)
                 u, v, m = v, u, -m
-        twists = [delta_word(k).letters] * (2 * m) if m else []
+        twists = [_delta_letters(k)] * (2 * m) if m else []
         return _dynnikov(k, u.letters) == _dynnikov(k, v.letters, *twists)
 
     return canonical, equal

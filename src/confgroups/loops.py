@@ -27,23 +27,24 @@ loops produce); a mixed-sign step orders its crossings by their exact times
 under the same infinitesimal turn and reads each run of one sign the same
 way.  Signs and times are decided in exact integer arithmetic on the step's
 coordinates, written as integers over one power of two, so the only refusal
-is a real collision of two points.
+is a real collision of two points.  Every computation measures coordinates
+in one power-of-two unit (_unit), so any finite coordinates are read, and
+every tolerance is relative to max(1, largest modulus).
 
 Per-frame work runs as numpy operations over the whole frame axis: reading
 the JSON coordinates, the finiteness and pairwise-distance checks (in chunks
 of about _CHUNK_COORDINATES coordinates, one point against the later ones at
 a time, so temporaries stay near a chunk or one frame whatever k and n), the
-span SVDs and the determinants with their Hadamard floors (in units of
-_unit), the determinant phase increments and the (Re, Im) order of every
-frame.  Python loops remain only where single steps need individual
-treatment: reading the letters of a step whose order changes (a step whose
-order is unchanged has no crossings), refining a determinant step whose
-increment reaches pi/2, and matching the end frames as point sets.
+span SVDs and the determinants with their Hadamard floors, the determinant
+phase increments and the (Re, Im) order of every frame.  Python loops remain
+only where single steps need individual treatment: reading the letters of a
+step whose order changes (a step whose order is unchanged has no crossings),
+refining a determinant step whose increment reaches pi/2, and matching the
+end frames as point sets.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
@@ -98,11 +99,11 @@ class ConfigLoop:
             raise LoopError("need k >= 1 and n >= 1")
         if not np.all(np.isfinite(arr)):
             raise LoopError("frames must have finite coordinates")
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        t = _first_coincident_frame(arr, scale, _COINCIDENT_TOL)
+        unit, base = _unit(arr)
+        t = _first_coincident_frame(arr, unit, base)
         if t is not None:
             raise LoopError(f"frame {t} has coincident points")
-        if not _frames_match_as_sets(arr[0], arr[-1], scale, _CLOSURE_TOL):
+        if not _frames_match_as_sets(arr[0] / unit, arr[-1] / unit, base):
             raise LoopError("loop is not closed: first and last frames differ as point sets")
         arr.setflags(write=False)
         object.__setattr__(self, "frames", arr)
@@ -112,32 +113,31 @@ class ConfigLoop:
         return int(self.frames.shape[0])
 
 
-def _first_coincident_frame(frames: np.ndarray, scale: float, margin: float) -> int | None:
-    """Index of the first frame with two points at most margin * scale apart.
-
-    Coordinates are measured in units of scale (at least the largest
-    coordinate modulus), so differences and their squares cannot overflow.
-    Each point of a chunk of frames is compared with the later ones in turn."""
+def _first_coincident_frame(frames: np.ndarray, unit: float, base: float) -> int | None:
+    """Index of the first frame with two points at most _COINCIDENT_TOL * base
+    apart in units of unit (both from _unit).  Each point of a chunk of
+    frames is compared with the later ones in turn."""
     k = frames.shape[1]
     step = max(1, _CHUNK_COORDINATES // (k * frames.shape[2]))
     for start in range(0, frames.shape[0], step):
-        chunk = frames[start : start + step] / scale
+        chunk = frames[start : start + step] / unit
         near = np.zeros(chunk.shape[0], dtype=bool)
         for i in range(k - 1):
             diff = chunk[:, i + 1 :] - chunk[:, i : i + 1]
-            near |= np.any(np.sqrt(np.sum(np.abs(diff) ** 2, axis=-1)) <= margin, axis=1)
+            dist = np.sqrt(np.sum(np.abs(diff) ** 2, axis=-1))
+            near |= np.any(dist <= _COINCIDENT_TOL * base, axis=1)
         bad = np.flatnonzero(near)
         if bad.size:
             return start + int(bad[0])
     return None
 
 
-def _frames_match_as_sets(a: np.ndarray, b: np.ndarray, scale: float, tol: float) -> bool:
-    """Is there a bijection a -> b moving no point by more than tol * scale?
+def _frames_match_as_sets(a: np.ndarray, b: np.ndarray, base: float) -> bool:
+    """Is there a bijection a -> b moving no point by more than
+    _CLOSURE_TOL * base?  Frames and base are in one unit from _unit.
     Unordered flavors close only up to relabeling.  Augmenting paths (Kuhn)
-    on the dist <= tol bipartite graph, coordinates in units of scale; k is
-    small."""
-    a, b = a / scale, b / scale
+    on the bipartite graph of the pairs within that distance; k is small."""
+    tol = _CLOSURE_TOL * base
     adj = [np.flatnonzero(np.sqrt(np.sum(np.abs(b - p) ** 2, axis=-1)) <= tol).tolist() for p in a]
     owner = [-1] * len(adj)  # owner[q] = the point of a matched to b[q]
 
@@ -170,33 +170,28 @@ def span_dimension(points, tol: float = _SPAN_TOL) -> int:
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2:
         raise LoopError("points must be a k x n array")
-    return int(_span_dimensions(*_span_singular_values(pts[None]), tol)[0])
+    return int(_spans(pts[None], _unit(pts[None])[0], tol)[1][0])
 
 
-def _span_singular_values(frames: np.ndarray) -> tuple[np.ndarray, float]:
-    """Singular values of every frame's difference matrix [x_1 - x_0, ...],
-    shape (T, min(k-1, n)), in units of unit = _unit(frames), and that unit.
-    Differences of coordinates below 2 cannot overflow."""
-    unit = _unit(frames)
-    return np.linalg.svd(frames[:, 1:] / unit - frames[:, :1] / unit, compute_uv=False), unit
-
-
-def _span_dimensions(sv: np.ndarray, unit: float, tol: float) -> np.ndarray:
-    """Per frame, the number of singular values (in units of unit) above tol
-    relative to the largest; 0 when the largest is below 1e-300 or there is none."""
+def _spans(frames: np.ndarray, unit: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values of every frame's difference matrix [x_1 - x_0, ...],
+    shape (T, min(k-1, n)), in units of unit (from _unit), and per frame the
+    number above tol relative to the largest: 0 when the largest is below
+    1e-300 or there is none."""
     if not 0 <= tol < 1:  # also refuses NaN
         raise LoopError(f"span tolerance must satisfy 0 <= tol < 1, got {tol}")
+    sv = np.linalg.svd(frames[:, 1:] / unit - frames[:, :1] / unit, compute_uv=False)
     top = sv[:, :1]
-    return np.sum((sv > tol * top) & (top >= 1e-300 / unit), axis=1)
+    return sv, np.sum((sv > tol * top) & (top >= 1e-300 / unit), axis=1)
 
 
 def span_reports(loop: ConfigLoop, tol: float = _SPAN_TOL) -> list[SpanReport]:
     """Every frame's span report; a singular value beyond the float range reads inf."""
-    sv, unit = _span_singular_values(loop.frames)
-    dims = _span_dimensions(sv, unit, tol).tolist()
+    unit = _unit(loop.frames)[0]
+    sv, dims = _spans(loop.frames, unit, tol)
     with np.errstate(over="ignore"):
         sv = sv * unit
-    return [SpanReport(t, tuple(row), dims[t]) for t, row in enumerate(sv.tolist())]
+    return [SpanReport(t, tuple(row), dims.item(t)) for t, row in enumerate(sv.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +247,9 @@ def reverse(loop: ConfigLoop) -> ConfigLoop:
 def concatenate(a: ConfigLoop, b: ConfigLoop) -> ConfigLoop:
     if (a.k, a.n) != (b.k, b.n):
         raise LoopError("loops live in different configuration spaces")
-    scale = max(1.0, float(np.max(np.abs(a.frames))), float(np.max(np.abs(b.frames))))
-    if not _closes_pointwise(a.frames[-1], b.frames[0], scale):
+    # the larger unit, and at equal units the larger base, measures both loops
+    unit, base = max(_unit(a.frames), _unit(b.frames))
+    if not _closes_pointwise(a.frames[-1], b.frames[0], unit, base):
         raise LoopError("endpoints do not match (pointwise) at the concatenation seam")
     return ConfigLoop(a.k, a.n, np.concatenate([a.frames, b.frames[1:]], axis=0))
 
@@ -263,17 +259,16 @@ def concatenate(a: ConfigLoop, b: ConfigLoop) -> ConfigLoop:
 
 
 def loop_to_json_obj(loop: ConfigLoop) -> dict:
-    frames = [
-        [[[float(c.real), float(c.imag)] for c in point] for point in frame]
-        for frame in loop.frames
-    ]
+    frames = np.stack((loop.frames.real, loop.frames.imag), axis=-1).tolist()
     return {"k": loop.k, "n": loop.n, "frames": frames, "closed": True}
 
 
 def loop_from_json_obj(obj: dict) -> ConfigLoop:
     try:
-        k, n = int(obj["k"]), int(obj["n"])
-        if not obj.get("closed", True):
+        k, n = obj["k"], obj["n"]
+        if type(k) is not int or type(n) is not int:  # not a float, string or bool
+            raise LoopError("malformed loop JSON: k and n must be integers")
+        if obj.get("closed", True) is not True:
             raise LoopError("loop JSON must describe a closed loop")
         pairs = np.array(obj["frames"])
         if pairs.dtype == object and all(isinstance(v, (int, float)) for v in pairs.flat):
@@ -291,28 +286,32 @@ def loop_from_json_obj(obj: dict) -> ConfigLoop:
 # braid extraction
 
 
-def _unit(frames: np.ndarray) -> float:
+def _unit(frames: np.ndarray) -> tuple[float, float]:
     """The least power of two above every coordinate modulus, at least 1 and
-    at most 2^1023.  Coordinates divided by it stay below 2, so their products
-    cannot overflow, and the division is exact, so a computation in these
-    units makes the same decisions, bit for bit, as one in the raw
-    coordinates wherever that one does not overflow."""
-    return 2.0 ** min(max(0, math.frexp(float(np.max(np.abs(frames))))[1]), 1023)
+    at most 2^1023, and max(1, largest modulus) in that unit: the base of the
+    relative tolerances.  Coordinates divided by the unit stay below 3, so
+    their products cannot overflow, and the division is exact, so a
+    computation in these units makes the same decisions, bit for bit, as one
+    in the raw coordinates wherever that one does not overflow.  A modulus
+    past the float range reads inf, and the halved coordinates measure it."""
+    top = float(np.max(np.abs(frames)))
+    if top < math.inf:
+        unit = 2.0 ** min(max(0, math.frexp(top)[1]), 1023)
+        return unit, max(1.0, top) / unit
+    return 2.0**1023, float(np.max(np.abs(frames / 2))) / 2.0**1022
 
 
-def _closes_pointwise(x: np.ndarray, y: np.ndarray, scale: float) -> bool:
-    """Is every coordinate of frame x within _CLOSURE_TOL * scale of y's?
-    Measured in units of _unit of the two frames, so the difference cannot
-    overflow."""
-    unit = _unit(np.stack((x, y)))
-    return float(np.max(np.abs(x / unit - y / unit))) <= _CLOSURE_TOL * scale / unit
+def _closes_pointwise(x: np.ndarray, y: np.ndarray, unit: float, base: float) -> bool:
+    """Is every coordinate of frame x within _CLOSURE_TOL * base of y's, in
+    units of unit (unit and base from _unit)?"""
+    return float(np.max(np.abs(x / unit - y / unit))) <= _CLOSURE_TOL * base
 
 
-def _project_to_line(loop: ConfigLoop, line_tol: float) -> np.ndarray:
+def _project_to_line(loop: ConfigLoop) -> np.ndarray:
     """Affine coordinates of every point on the single complex line carrying
     the whole loop, in units of _unit(loop.frames); error if any frame leaves
     that line."""
-    unit = _unit(loop.frames)
+    unit = _unit(loop.frames)[0]
     if loop.n == 1:
         return loop.frames[:, :, 0] / unit
     base = loop.frames[0, 0] / unit
@@ -323,9 +322,8 @@ def _project_to_line(loop: ConfigLoop, line_tol: float) -> np.ndarray:
     rel -= base
     coeffs = rel @ np.conj(direction)
     resid = rel - coeffs[..., None] * direction
-    scale = max(1.0 / unit, float(np.max(np.abs(rel))))
     worst = float(np.max(np.abs(resid)))
-    if worst > line_tol * scale:
+    if worst > _LINE_TOL * max(1.0 / unit, float(np.max(np.abs(rel)))):
         raise LoopError(
             f"frames are not collinear on a common line (residual {worst * unit:.3e})"
         )
@@ -391,7 +389,7 @@ def extract_braid(loop: ConfigLoop) -> BraidWord:
     on one common complex line)."""
     if loop.k == 1:
         return BraidWord(1)
-    zf = _project_to_line(loop, _LINE_TOL)
+    zf = _project_to_line(loop)
     # by Re + eps Im: the real-part order of the line turned by an infinitesimal angle
     order = np.lexsort((zf.imag, zf.real), axis=-1)
     letters: list[tuple[int, int]] = []
@@ -423,41 +421,36 @@ def det_winding(loop: ConfigLoop, *, tol: float = _SPAN_TOL) -> int:
     if loop.k != loop.n + 1:
         raise LoopError(f"det_winding needs k = n+1 points, got k={loop.k}, n={loop.n}")
     frames = loop.frames
-    scale = max(1.0, float(np.max(np.abs(frames))))
-    if not _closes_pointwise(frames[-1], frames[0], scale):
+    unit, base = _unit(frames)
+    if not _closes_pointwise(frames[-1], frames[0], unit, base):
         raise LoopError(
             "det_winding needs a loop closed pointwise; this one closes only up to relabeling"
         )
-    sv, unit = _span_singular_values(frames)
-    low = np.flatnonzero(_span_dimensions(sv, unit, tol) != loop.n)
+    low = np.flatnonzero(_spans(frames, unit, tol)[1] != loop.n)
     if low.size:
         raise DegenerateSpanError(f"frame {low[0]} does not span dimension {loop.n}")
     dets, floors = _dets_and_floors(frames, unit)
-    # hypot rounds like abs() of a Python complex, which the refinement uses
-    small = np.flatnonzero(np.hypot(dets.real, dets.imag) < floors)
+    small = np.flatnonzero(np.abs(dets) < floors)
     if small.size:
         raise DegenerateSpanError(f"frame {small[0]} determinant below the floor")
     budget = [_REFINE_BUDGET]
 
     def segment(a: np.ndarray, b: np.ndarray, det_a: complex, det_b: complex) -> float:
-        delta = cmath.phase(det_b / det_a)
+        delta = float(np.angle(det_b / det_a))
         if abs(delta) < math.pi / 2:
             return delta
         if budget[0] <= 0:
             raise LoopError("refinement budget exceeded while tracking the determinant")
         budget[0] -= 1
         mid = (a + b) / 2
-        det_m, floor_m = _dets_and_floors(mid[None], unit)
-        det_m = complex(det_m[0])
-        if abs(det_m) < floor_m[0]:
+        (det_m,), (floor_m,) = _dets_and_floors(mid[None], unit)
+        if np.abs(det_m) < floor_m:
             raise DegenerateSpanError(
                 "determinant dropped below the floor between frames"
             )
         return segment(a, mid, det_a, det_m) + segment(mid, b, det_m, det_b)
 
     steps = np.angle(dets[1:] / dets[:-1])
-    # np.angle and cmath.phase can round differently in the last bits, so every
-    # step near the pi/2 threshold is decided (and refined) by segment alone
-    for t in np.flatnonzero(np.abs(steps) >= math.pi / 2 - 1e-9).tolist():
-        steps[t] = segment(frames[t], frames[t + 1], complex(dets[t]), complex(dets[t + 1]))
+    for t in np.flatnonzero(np.abs(steps) >= math.pi / 2).tolist():
+        steps[t] = segment(frames[t], frames[t + 1], dets[t], dets[t + 1])
     return int(round(float(np.sum(steps)) / (2 * math.pi)))

@@ -285,6 +285,7 @@ def paper_verification_suite(max_k: int = 5) -> VerificationReport:
     """Run every checkable identity of the classification; deterministic."""
     if max_k < 3:
         raise ValueError("max_k must be at least 3")
+    _b._check_letter_budget((max_k**3 - max_k) // 3)  # d_word(max_k), the longest claim word
     rng = random.Random(20260815)
     results: list[ClaimResult] = []
     results += _full_twist_claims(max_k)

@@ -299,15 +299,17 @@ def reference_normalise(factors, k):
 # nudged frames off real-part ties, bisected mixed-sign steps and cut
 # simultaneous crossings into one-sign blocks.
 
-_TIE_MARGIN, _LINE_TOL, _SPAN_TOL, _DET_FLOOR = 1e-9, 1e-8, 1e-8, 1e-12
+_TIE_MARGIN, _SPAN_TOL, _DET_FLOOR = 1e-9, 1e-8, 1e-12
 _BISECT_SPLITS = (0.5, 0.25, 0.75, 0.125, 0.875, 0.0625, 0.9375, 0.03125)
 
 
 def reference_loop_from_json_obj(obj: dict):
     from confgroups.loops import ConfigLoop
 
-    k, n = int(obj["k"]), int(obj["n"])
-    if not obj.get("closed", True):
+    k, n = obj["k"], obj["n"]
+    if type(k) is not int or type(n) is not int:
+        raise ValueError("k and n must be integers")
+    if obj.get("closed", True) is not True:
         raise ValueError("loop JSON must describe a closed loop")
     arr = np.array(
         [[[complex(re, im) for re, im in point] for point in frame] for frame in obj["frames"]],
@@ -422,14 +424,14 @@ def _reference_step_letters(E: np.ndarray, F: np.ndarray, k: int, margin: float,
     raise TieError("could not find a tie-free bisection frame inside a step")
 
 
-def reference_extract_braid(loop, *, tie_margin=_TIE_MARGIN, line_tol=_LINE_TOL, max_depth=32):
+def reference_extract_braid(loop, *, tie_margin=_TIE_MARGIN, max_depth=32):
     from confgroups.braids import BraidWord
     from confgroups.loops import TieError, _project_to_line, _unit
 
     if loop.k == 1:
         return BraidWord(1)
-    zf = _project_to_line(loop, line_tol)
-    margin = tie_margin * max(1.0 / _unit(loop.frames), float(np.max(np.abs(zf))))
+    zf = _project_to_line(loop)
+    margin = tie_margin * max(1.0 / _unit(loop.frames)[0], float(np.max(np.abs(zf))))
     eff = []
     for t in range(zf.shape[0]):
         frame = zf[t]
@@ -822,7 +824,7 @@ def reference_filtered_extract_braid(loop: ConfigLoop) -> BraidWord:
 
     if loop.k == 1:
         return BraidWord(1)
-    zf = _project_to_line(loop, _LINE_TOL)
+    zf = _project_to_line(loop)
     # by Re + eps Im: the real-part order of the line turned by an infinitesimal angle
     order = np.lexsort((zf.imag, zf.real), axis=-1)
     letters: list[tuple[int, int]] = []

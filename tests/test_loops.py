@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -116,15 +116,30 @@ def test_distances_at_huge_coordinates_do_not_overflow():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("factor", [1e200, 2.0**600])
+@pytest.mark.parametrize("factor", [1e200, 2.0**600, 1e307])
 def test_invariants_at_huge_coordinates_do_not_overflow(factor):
     # squares, products and n x n determinants of raw coordinates near 1e200
-    # overflow; the invariants are measured in units of a power of two
+    # overflow, and near center = 1.3e308 (1 + i) so does a finite point's
+    # modulus; the invariants are measured in units of a power of two
+    center = 13 * factor * (1 + 1j)
     gamma = make_gamma_loop(3, 200)
-    word = extract_braid(ConfigLoop(3, 2, gamma.frames * factor))
+    word = extract_braid(ConfigLoop(3, 2, gamma.frames * factor + center))
     assert str(word) == "s1 s2 s1 s1 s2 s1" == str(extract_braid(gamma))
     h = make_h_loop(2, 64)
-    assert det_winding(ConfigLoop(3, 2, h.frames * factor)) == 1 == det_winding(h)
+    assert det_winding(ConfigLoop(3, 2, h.frames * factor + center)) == 1 == det_winding(h)
+    assert str(extract_braid(ConfigLoop(2, 1, _half_turn().frames * factor + center))) == "s1"
+    turn = ConfigLoop(2, 1, _full_turn().frames * factor + center)
+    assert str(extract_braid(turn)) == "s1 s1" and det_winding(turn) == 1
+    twice = concatenate(turn, turn)
+    assert str(extract_braid(twice)) == "s1 s1 s1 s1" and det_winding(twice) == 2
+    far = center + 2 * factor * (1 + 1j)
+    with pytest.raises(LoopError, match="not closed"):
+        _loop_from_points(1, 1, [[[far]], [[0]]])
+    # the seam gap is within 1e-6 of the largest modulus of both loops, at
+    # b's first frame, and beyond 1e-6 of every other modulus
+    near = far * (1 + 1.0000005e-6)
+    b = _loop_from_points(1, 1, [[[near]], [[far]]])
+    assert concatenate(_loop_from_points(1, 1, [[[far]]] * 2), b).num_frames == 3
     # near the float limit raw point differences overflow; the span is still 2
     edge = h.frames * 1.5e308
     edge[:, 0] = -0.9e308
@@ -492,6 +507,10 @@ def test_json_malformed():
         {},
         {k: v for k, v in good.items() if k != "frames"},
         {**good, "closed": False},
+        {**good, "closed": "false"},
+        {**good, "k": 2.7},
+        {**good, "k": "2"},
+        {**good, "n": True},
         {**good, "frames": "xyz"},
         {**good, "frames": [[[0.0]]]},
     ):
@@ -678,8 +697,15 @@ def _loop_json_objs(draw):
     return obj
 
 
+_ONE_FRAME = [[[0, 0]], [[1, 0]]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_loop_json_objs())
+@example({"k": 2.7, "n": 1, "frames": [_ONE_FRAME] * 2})
+@example({"k": "2", "n": 1, "frames": [_ONE_FRAME] * 2})
+@example({"k": 2, "n": True, "frames": [_ONE_FRAME] * 2})
+@example({"k": 2, "n": 1, "frames": [_ONE_FRAME] * 2, "closed": "false"})
 def test_loop_json_fuzz_raises_only_loop_errors(obj):
     try:
         expected = helpers.reference_loop_from_json_obj(obj)

@@ -2,6 +2,9 @@
 
 import pytest
 
+from confgroups import braids
+from confgroups.braids import BraidError
+from confgroups.cli import main
 from confgroups.verify import paper_verification_suite
 
 
@@ -49,3 +52,21 @@ def test_suite_is_deterministic():
 def test_suite_rejects_small_max_k():
     with pytest.raises(ValueError):
         paper_verification_suite(max_k=2)
+
+
+def test_suite_refuses_a_max_k_past_the_letter_budget_before_any_claim(monkeypatch, capsys):
+    def no_claims(word):
+        raise AssertionError("a claim ran")
+
+    monkeypatch.setattr(braids, "garside_normal_form", no_claims)
+    # d_word(145) has 1,016,160 letters, over the limit of 1,000,000; d_word(144) 995,280
+    assert main(["verify-paper", "--max-k", "145"]) == 1
+    assert "1016160 letters" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="a claim ran"):
+        paper_verification_suite(max_k=144)
+    # d_word(6) has 70 letters and d_word(7) 112
+    monkeypatch.setattr(braids, "_MAX_LETTERS", 100)
+    with pytest.raises(BraidError, match="112 letters"):
+        paper_verification_suite(max_k=7)
+    with pytest.raises(AssertionError, match="a claim ran"):
+        paper_verification_suite(max_k=6)
