@@ -148,6 +148,8 @@ def _generate_loop(spec: str, frames: int | None) -> loops.ConfigLoop:
 def _cmd_analyze_loop(args: argparse.Namespace) -> int:
     if bool(args.generate) == bool(args.file):
         raise _UsageError("give exactly one of --generate or --file")
+    if (args.span or args.winding) and not 0 <= args.tol < 1:  # also refuses NaN
+        raise loops.LoopError(f"span tolerance must satisfy 0 <= tol < 1, got {args.tol}")
     if args.generate:
         loop = _generate_loop(args.generate, args.frames)
     else:
@@ -178,7 +180,7 @@ def _cmd_analyze_loop(args: argparse.Namespace) -> int:
             lines.append("equal" if same else "not equal")
             obj["compare"] = "equal" if same else "not equal"
     if args.winding:
-        w = loops.det_winding(loop, tol=args.tol)
+        w = loops.det_winding(loop)
         lines.append(f"winding: {w}")
         obj["winding"] = w
     if not lines:
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--winding", action="store_true")
     p.add_argument("--span", action="store_true", help="report span dimensions")
     p.add_argument("--compare", help="braid word to compare the extraction against")
-    p.add_argument("--tol", type=float, default=1e-8, help="singular-value tolerance")
+    p.add_argument("--tol", type=float, default=1e-8, help="singular-value tolerance of --span")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_analyze_loop)
 

@@ -11,14 +11,15 @@ frames.  Two invariants are extracted:
   imaginary part.  The opposite convention would invert every extracted word.
 * det_winding computes the winding number around 0 of the frame determinant
   det[x_1 - x_0, ..., x_n - x_0] for loops of k = n+1 points spanning all of
-  C^n and closed pointwise, by summing principal-branch argument increments
-  (auto-refining by linear interpolation whenever a single increment reaches
-  pi/2).
+  C^n and closed pointwise: a step's principal argument increment counts once
+  the determinant is certified to stay in a disc that misses 0 along it, and
+  a step left open is bisected.
 
-Between consecutive frames points move linearly, and extract_braid reads
-that piecewise-linear loop exactly.  Each frame is ordered lexicographically
-by (Re, Im): the real-part order of the line turned by an infinitesimal
-angle, so real-part ties need no special treatment.  A pair crosses in a step
+Between consecutive frames points move linearly, and both invariants read
+that piecewise-linear loop: det_winding its winding or a typed refusal,
+extract_braid its braid exactly.  Each frame is ordered lexicographically by
+(Re, Im): the real-part order of the line turned by an infinitesimal angle,
+so real-part ties need no special treatment.  A pair crosses in a step
 exactly when its order differs at the two ends, and the crossing's sign is
 the turn of its difference from the first frame to the last.  A step whose
 crossings share one sign is read as the permutation braid of its rank
@@ -35,12 +36,11 @@ Per-frame work runs as numpy operations over the whole frame axis: reading
 the JSON coordinates, the finiteness and pairwise-distance checks (in chunks
 of about _CHUNK_COORDINATES coordinates, one point against the later ones at
 a time, so temporaries stay near a chunk or one frame whatever k and n), the
-span SVDs and the determinants with their Hadamard floors, the determinant
-phase increments and the (Re, Im) order of every frame.  Python loops remain
-only where single steps need individual treatment: reading the letters of a
-step whose order changes (a step whose order is unchanged has no crossings),
-refining a determinant step whose increment reaches pi/2, and matching the
-end frames as point sets.
+span SVDs, the determinants with their certificates, one bisection level of
+all open determinant steps at a time, and the (Re, Im) order of every frame.
+Python loops remain only where single steps need individual treatment:
+reading the letters of a step whose order changes (a step whose order is
+unchanged has no crossings), and matching the end frames as point sets.
 """
 
 from __future__ import annotations
@@ -170,6 +170,8 @@ def span_dimension(points, tol: float = _SPAN_TOL) -> int:
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 2:
         raise LoopError("points must be a k x n array")
+    if not np.all(np.isfinite(pts)):
+        raise LoopError("frames must have finite coordinates")
     return int(_spans(pts[None], _unit(pts[None])[0], tol)[1][0])
 
 
@@ -403,54 +405,50 @@ def extract_braid(loop: ConfigLoop) -> BraidWord:
 # determinant winding
 
 
-def _dets_and_floors(frames: np.ndarray, unit: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every frame's determinant det[x_1 - x_0, ..., x_n - x_0] and the floor
-    below which it counts as zero: _DET_FLOOR times the Hadamard bound, at
-    least _DET_FLOOR.  Both are in units of unit^n (unit from _unit)."""
-    diffs = frames[:, 1:] / unit
-    diffs -= frames[:, :1] / unit
-    norms = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=2))
-    hadamard = np.prod(np.maximum(norms, 1e-300 / unit), axis=1)
-    return np.linalg.det(diffs), _DET_FLOOR * np.maximum(unit ** -diffs.shape[1], hadamard)
+def _certified(a: np.ndarray, det_a: np.ndarray, b: np.ndarray, unit: float) -> np.ndarray:
+    """Does the determinant stay off 0 along each linear step from rows a to
+    rows b (rows x_i - x_0 in units of unit from _unit, stacked on leading
+    axes)?  By multilinearity and Hadamard's bound it moves at most
+    prod(|a_i| + |b_i - a_i|) - prod |a_i| from det a, so it does when |det a|
+    beats that by the floor, which covers the rounding: _DET_FLOOR times the
+    step's Hadamard bound, at least _DET_FLOOR in raw units.  With b = a this
+    is the floor test of frame a."""
+    norms = np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
+    outer = np.prod(norms + np.sqrt(np.sum(np.abs(b - a) ** 2, axis=-1)), axis=-1)
+    floor = _DET_FLOOR * np.maximum(unit ** -a.shape[-1], outer)
+    return np.abs(det_a) > outer - np.prod(norms, axis=-1) + floor
 
 
-def det_winding(loop: ConfigLoop, *, tol: float = _SPAN_TOL) -> int:
-    """Winding number around 0 of the determinant path of a full-span loop of
-    k = n+1 points.  The loop must close pointwise: one that closes only up
-    to relabeling has a determinant path that need not close."""
+def det_winding(loop: ConfigLoop) -> int:
+    """Winding number around 0 of the frame determinant along the piecewise-
+    linear loop of k = n+1 points.  A loop closed only up to relabeling is
+    refused: its determinant path need not close."""
     if loop.k != loop.n + 1:
         raise LoopError(f"det_winding needs k = n+1 points, got k={loop.k}, n={loop.n}")
-    frames = loop.frames
-    unit, base = _unit(frames)
-    if not _closes_pointwise(frames[-1], frames[0], unit, base):
-        raise LoopError(
-            "det_winding needs a loop closed pointwise; this one closes only up to relabeling"
-        )
-    low = np.flatnonzero(_spans(frames, unit, tol)[1] != loop.n)
+    unit, base = _unit(loop.frames)
+    if not _closes_pointwise(loop.frames[-1], loop.frames[0], unit, base):
+        raise LoopError("det_winding needs a loop closed pointwise; "
+                        "this one closes only up to relabeling")
+    rows = loop.frames[:, 1:] / unit - loop.frames[:, :1] / unit
+    dets = np.linalg.det(rows)
+    low = np.flatnonzero(~_certified(rows, dets, rows, unit))
     if low.size:
-        raise DegenerateSpanError(f"frame {low[0]} does not span dimension {loop.n}")
-    dets, floors = _dets_and_floors(frames, unit)
-    small = np.flatnonzero(np.abs(dets) < floors)
-    if small.size:
-        raise DegenerateSpanError(f"frame {small[0]} determinant below the floor")
-    budget = [_REFINE_BUDGET]
-
-    def segment(a: np.ndarray, b: np.ndarray, det_a: complex, det_b: complex) -> float:
-        delta = float(np.angle(det_b / det_a))
-        if abs(delta) < math.pi / 2:
-            return delta
-        if budget[0] <= 0:
+        raise DegenerateSpanError(f"frame {low[0]} determinant below the floor")
+    # every step at once, then the halves of those the certificate leaves open
+    a, det_a, b, det_b = rows[:-1], dets[:-1], rows[1:], dets[1:]
+    total, budget = 0.0, _REFINE_BUDGET
+    while True:
+        sure = _certified(a, det_a, b, unit)
+        total += float(np.sum(np.angle(det_b[sure] / det_a[sure])))
+        a, det_a, b, det_b = a[~sure], det_a[~sure], b[~sure], det_b[~sure]
+        if not det_a.size:
+            return int(round(total / (2 * math.pi)))
+        if det_a.size > budget:
             raise LoopError("refinement budget exceeded while tracking the determinant")
-        budget[0] -= 1
+        budget -= det_a.size
         mid = (a + b) / 2
-        (det_m,), (floor_m,) = _dets_and_floors(mid[None], unit)
-        if np.abs(det_m) < floor_m:
-            raise DegenerateSpanError(
-                "determinant dropped below the floor between frames"
-            )
-        return segment(a, mid, det_a, det_m) + segment(mid, b, det_m, det_b)
-
-    steps = np.angle(dets[1:] / dets[:-1])
-    for t in np.flatnonzero(np.abs(steps) >= math.pi / 2).tolist():
-        steps[t] = segment(frames[t], frames[t + 1], dets[t], dets[t + 1])
-    return int(round(float(np.sum(steps)) / (2 * math.pi)))
+        det_m = np.linalg.det(mid)
+        if not np.all(_certified(mid, det_m, mid, unit)):
+            raise DegenerateSpanError("determinant dropped below the floor between frames")
+        a, det_a = np.concatenate((a, mid)), np.concatenate((det_a, det_m))
+        b, det_b = np.concatenate((mid, b)), np.concatenate((det_m, det_b))

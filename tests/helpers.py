@@ -117,6 +117,17 @@ def unwrap_winding(values: np.ndarray) -> int:
     return int(round(turns))
 
 
+# 3 points in C^2 over 4 integer frames: the determinant of the piecewise-
+# linear loop winds once, while the frame determinants alone turn by less
+# than pi/2 a step, so a reader that trusts their increments reads 0
+COARSE_WINDING_LOOP = {"k": 3, "n": 2, "frames": [
+    [[[0, 0], [0, 0]], [[0, 2], [1, 0]], [[-3, 5], [-2, -1]]],
+    [[[0, 0], [0, 0]], [[3, -3], [2, 3]], [[-1, -2], [3, 1]]],
+    [[[0, 0], [0, 0]], [[-1, -1], [-6, -1]], [[5, -1], [3, 2]]],
+    [[[0, 0], [0, 0]], [[0, 2], [1, 0]], [[-3, 5], [-2, -1]]],
+]}
+
+
 # ---------------------------------------------------------------------------
 # standalone permutation calculus (one-line tuples on 0..size-1, words act
 # left to right: (a then b)(x) = b(a(x)))
@@ -453,49 +464,47 @@ def reference_extract_braid(loop, *, tie_margin=_TIE_MARGIN, max_depth=32):
     return BraidWord(loop.k, tuple(letters))
 
 
-def _frame_det(frame: np.ndarray) -> complex:
-    return complex(np.linalg.det(frame[1:] - frame[0]))
+def _certified(a: list, det_a: complex, b: list) -> bool:
+    """loops._certified for one step from rows a to rows b, in raw units."""
+    norms = [math.sqrt(sum(abs(z) ** 2 for z in row)) for row in a]
+    moves = [math.sqrt(sum(abs(y - x) ** 2 for x, y in zip(p, q))) for p, q in zip(a, b)]
+    outer = math.prod(x + m for x, m in zip(norms, moves))
+    return abs(det_a) > outer - math.prod(norms) + _DET_FLOOR * max(1.0, outer)
 
 
-def _det_floor(frame: np.ndarray) -> float:
-    norms = np.sqrt(np.sum(np.abs(frame[1:] - frame[0]) ** 2, axis=1))
-    return _DET_FLOOR * max(1.0, float(np.prod(np.maximum(norms, 1e-300))))
-
-
-def reference_det_winding(loop, *, tol=_SPAN_TOL, refine_budget=1024) -> int:
-    """The per-frame winding for loops closed pointwise (the package also
-    rejects loops that close only up to relabeling)."""
+def reference_det_winding(loop, *, refine_budget=1024) -> int:
+    """The certified winding of the piecewise-linear loop, one frame and one
+    step at a time in raw coordinates, for loops closed pointwise (the
+    package also rejects loops that close only up to relabeling).  Open
+    steps are bisected a level at a time, as the package bisects them."""
     from confgroups.loops import DegenerateSpanError, LoopError
 
     if loop.k != loop.n + 1:
         raise LoopError(f"det_winding needs k = n+1 points, got k={loop.k}, n={loop.n}")
-    for t in range(loop.num_frames):
-        if reference_span_dimension(loop.frames[t], tol) != loop.n:
-            raise DegenerateSpanError(f"frame {t} does not span dimension {loop.n}")
-    budget = [refine_budget]
-
-    def segment(a, b, det_a, det_b):
-        delta = cmath.phase(det_b / det_a)
-        if abs(delta) < math.pi / 2:
-            return delta
-        if budget[0] <= 0:
-            raise LoopError("refinement budget exceeded while tracking the determinant")
-        budget[0] -= 1
-        mid = (a + b) / 2
-        det_m = _frame_det(mid)
-        if abs(det_m) < _det_floor(mid):
-            raise DegenerateSpanError("determinant dropped below the floor between frames")
-        return segment(a, mid, det_a, det_m) + segment(mid, b, det_m, det_b)
-
-    dets = []
-    for t in range(loop.num_frames):
-        d = _frame_det(loop.frames[t])
-        if abs(d) < _det_floor(loop.frames[t]):
+    rows = [(frame[1:] - frame[0]).tolist() for frame in loop.frames]
+    dets = [complex(np.linalg.det(np.array(a))) for a in rows]
+    for t, (a, det_a) in enumerate(zip(rows, dets)):
+        if not _certified(a, det_a, a):
             raise DegenerateSpanError(f"frame {t} determinant below the floor")
-        dets.append(d)
-    total = 0.0
-    for t in range(loop.num_frames - 1):
-        total += segment(loop.frames[t], loop.frames[t + 1], dets[t], dets[t + 1])
+    steps = list(zip(rows, dets, rows[1:], dets[1:]))
+    total, budget = 0.0, refine_budget
+    while steps:
+        open_steps = []
+        for a, det_a, b, det_b in steps:
+            if _certified(a, det_a, b):
+                total += cmath.phase(det_b / det_a)
+            else:
+                open_steps.append((a, det_a, b, det_b))
+        if len(open_steps) > budget:
+            raise LoopError("refinement budget exceeded while tracking the determinant")
+        budget -= len(open_steps)
+        steps = []
+        for a, det_a, b, det_b in open_steps:
+            mid = [[(x + y) / 2 for x, y in zip(p, q)] for p, q in zip(a, b)]
+            det_m = complex(np.linalg.det(np.array(mid)))
+            if not _certified(mid, det_m, mid):
+                raise DegenerateSpanError("determinant dropped below the floor between frames")
+            steps += [(a, det_a, mid, det_m), (mid, det_m, b, det_b)]
     return int(round(total / (2 * math.pi)))
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from confgroups import cli
 from confgroups.cli import _GROUP_NAMES, main
 from confgroups.loops import loop_to_json_obj, make_gamma_loop
@@ -110,6 +111,10 @@ def test_analyze_loop_from_file(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze-loop", "--file", str(path), "--extract-braid")
     assert code == 0
     assert "normal form: Δ^2" in out
+    # the determinant winds once inside the steps of four integer frames
+    path.write_text(json.dumps(helpers.COARSE_WINDING_LOOP), encoding="utf-8")
+    code, out, _ = run(capsys, "analyze-loop", "--file", str(path), "--span", "--winding")
+    assert (code, out) == (0, "span dimensions: 2\nwinding: 1\n")
 
 
 def test_equal_integers_letters(capsys):

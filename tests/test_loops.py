@@ -75,6 +75,8 @@ def test_loop_validation():
         _loop_from_points(2, 1, [[[1], [-1]]])  # single frame
     with pytest.raises(LoopError):
         ConfigLoop(2, 1, np.zeros((3, 2)))  # wrong shape
+    with pytest.raises(LoopError, match="^need k >= 1 and n >= 1$"):
+        ConfigLoop(0, 1, np.zeros((3, 0, 1)))  # no points
     loop = _loop_from_points(2, 1, [[[1], [-1]]] * 4)
     assert loop.num_frames == 4
     with pytest.raises(ValueError):
@@ -198,8 +200,11 @@ def test_span_examples():
             span_dimension(collinear, tol)
         with pytest.raises(LoopError, match="span tolerance"):
             span_reports(make_h_loop(2), tol)
-        with pytest.raises(LoopError, match="span tolerance"):
-            det_winding(make_h_loop(2), tol=tol)
+    with pytest.raises(LoopError, match="^points must be a k x n array$"):
+        span_dimension(np.zeros(3))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(LoopError, match="^frames must have finite coordinates$"):
+            span_dimension(np.array([[0, 0], [bad, 0]], dtype=complex))
 
 
 def test_span_reports_on_builtin_loops():
@@ -480,6 +485,50 @@ def test_winding_errors():
     assert {r.dimension for r in span_reports(thin)} == {3}
     with pytest.raises(DegenerateSpanError, match="^frame 0 determinant below the floor$"):
         det_winding(thin)
+
+
+def _coarse_integer_loops(seed, count):
+    """Loops of k = n+1 points in C^n, n = 1..3, over 3 to 8 frames with
+    integer coordinates in [-6, 6]; draws that ConfigLoop rejects are skipped."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n, frames = int(rng.integers(1, 4)), int(rng.integers(3, 9))
+        re, im = rng.integers(-6, 7, size=(2, frames, n + 1, n))
+        z = re + 1j * im
+        z[-1] = z[0]
+        try:
+            out.append(ConfigLoop(n + 1, n, z))
+        except LoopError:
+            continue
+    return out
+
+
+def _dense_det_path(loop, per=2000):
+    """The frame determinant at per evenly spaced points of every step of
+    the piecewise-linear loop, and at its last frame."""
+    rows = loop.frames[:, 1:] - loop.frames[:, :1]
+    s = (np.arange(per) / per)[None, :, None, None]
+    path = rows[:-1, None] + s * (rows[1:] - rows[:-1])[:, None]
+    return np.linalg.det(np.concatenate((path.reshape(-1, loop.n, loop.n), rows[-1:])))
+
+
+def test_winding_matches_dense_resampling_on_coarse_loops():
+    # a step's determinant can wind although its end values differ by less
+    # than pi/2 in argument; the certified reading follows the
+    # piecewise-linear loop and refuses only loops whose determinant nears 0
+    coarse = loop_from_json_obj(helpers.COARSE_WINDING_LOOP)
+    assert det_winding(coarse) == 1 == helpers.unwrap_winding(_dense_det_path(coarse))
+    outcomes = set()
+    for loop in _coarse_integer_loops(1, 300):
+        got = _outcome(det_winding, loop)
+        dense = _dense_det_path(loop)
+        if isinstance(got, int):
+            assert got == helpers.unwrap_winding(dense)
+        else:
+            assert got[0] is DegenerateSpanError and np.min(np.abs(dense)) < 1e-2
+        outcomes.add(got if isinstance(got, int) else got[1])
+    assert {-2, -1, 0, 1, 2, "determinant dropped below the floor between frames"} <= outcomes
 
 
 def test_winding_needs_pointwise_closure():
