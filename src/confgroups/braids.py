@@ -21,11 +21,13 @@ Conventions, fixed once and used everywhere:
 
 The kernel is a handful of pure functions on permutation image tuples, the
 very Permutation.images of the forms it returns, each standing for the
-positive permutation braid A(p).  A word becomes one raw factor per letter
-(s_i^-1 as Delta^-1 times a complement, the Delta's pushed to the front);
-_normalise combs the factors left-weighted with _renorm, which moves letters
-across one pair, and _reduced_word spells a factor back.  _renorm's bounded
-LRU cache is the only memo.
+positive permutation braid A(p).  _normal_form reads a word left to right,
+one factor per letter, and combs the factors left-weighted with _renorm,
+which moves letters across one pair; each half twist it meets is counted
+and flips whether the stored factors are conjugated by tau, so none is
+walked to the front.  _reduced_word spells a factor back.  _renorm's bounded
+LRU cache is the only memo: combing meets the same few pairs again and
+again, and short words at k <= 6 take about 1.7 times as long without it.
 """
 
 from __future__ import annotations
@@ -205,33 +207,49 @@ def _renorm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[tuple[int, ...], tu
     return _invert(a), tuple(b)
 
 
-def _normalise(factors: list[tuple[int, ...]], k: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Left-weight a factor sequence.
+def _tau(p: tuple[int, ...]) -> tuple[int, ...]:
+    """Conjugation by the half twist, A(tau p) = Delta A(p) Delta^-1: the
+    Garside automorphism, which reads s_i as s_(k-i) and commutes with _renorm."""
+    k1 = len(p) + 1
+    return tuple([k1 - v for v in reversed(p)])
 
-    Builds the left-weighted prefix left to right without identity factors:
-    identities are skipped, every other factor is appended and combed back
-    while the boundary pair changes (a change cannot pass an unchanged
-    pair), and identities the combing leaves at the right end, the only
-    place a left-weighted sequence holds them, are popped.  Returns the
-    number of leading half twists stripped off and the remaining factors.
+
+def _normal_form(letters, k: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The power m and the factors x_1 ... x_r of the word's left-greedy form.
+
+    Factors are appended left to right and combed back while the boundary
+    pair changes; identities, which combing leaves only at the right end,
+    are popped.  One rule serves every half twist: count it in m and flip
+    a parity t, the list holding the factors conjugated by tau^t, which
+    moves it to the front with no walk (_renorm(x, Delta) = (Delta, tau x)).
+    The half twists are those of s_i^-1 = Delta^-1 A(c), c the complement
+    (s_i reversed); a letter that is Delta (s1 at k = 2); and a pair combed
+    to (Delta, q), which leaves q and the factors behind it conjugated.
     """
     identity, half_twist = tuple(range(1, k + 1)), tuple(range(k, 0, -1))
+    factor = {(j, s): _swap(j, k)[::s] for i, s in set(letters) for j in (i, k - i)}
+    m = t = 0
     fs: list[tuple[int, ...]] = []
-    for f in factors:
-        if f == identity:
+    for i, s in letters:
+        if s < 0:
+            m, t = m - 1, t ^ 1
+        f = factor[k - i if t else i, s]
+        if f == half_twist:
+            m, t = m + 1, t ^ 1
             continue
         fs.append(f)
         for j in range(len(fs) - 2, -1, -1):
             p, q = _renorm(fs[j], fs[j + 1])
             if p == fs[j]:
                 break
+            if p == half_twist:
+                m, t = m + 1, t ^ 1
+                fs[j:] = [_tau(x) for x in [q, *fs[j + 2 :]]]
+                break
             fs[j], fs[j + 1] = p, q
-        while fs[-1] == identity:
+        while fs and fs[-1] == identity:
             fs.pop()
-    lead = 0
-    while lead < len(fs) and fs[lead] == half_twist:
-        lead += 1
-    return lead, fs[lead:]
+    return m, [_tau(x) for x in fs] if t else fs
 
 
 def _reduced_word(p: tuple[int, ...]) -> list[int]:
@@ -295,28 +313,9 @@ def _power_letters(letters, e: int, before: int = 0):
 
 
 def garside_normal_form(u: BraidWord) -> GarsideForm:
-    """Canonical left-greedy normal form Delta^m * x_1 ... x_r.
-
-    Each negative letter s_i^-1 is rewritten as Delta^-1 times its positive
-    complement; the accumulated Delta^-1's are pushed to the front (conjugating
-    the factors they pass by tau), and the resulting positive factor sequence
-    is left-weighted.
-    """
-    k = u.strands
-    letters: list[tuple[int, int]] = []
-    dp = 0
-    for i, s in reversed(u.letters):
-        # an odd Delta power to the right conjugates by tau, which reads s_i
-        # as s_(k-i) and fixes Delta
-        letters.append((k - i if dp & 1 else i, s))
-        if s < 0:
-            dp -= 1
-    # s_i is its own factor; s_i^-1 = Delta^-1 A(c), where the complement c
-    # (the half twist, then s_i) is s_i reversed and A(c) s_i = Delta.  Only
-    # the factors the word uses are built.
-    factor = {(i, s): _swap(i, k)[::s] for i, s in set(letters)}
-    lead, fs = _normalise([factor[x] for x in reversed(letters)], k)
-    return GarsideForm(k, dp + lead, tuple(Permutation(k, f) for f in fs))
+    """Canonical left-greedy normal form Delta^m * x_1 ... x_r."""
+    m, fs = _normal_form(u.letters, u.strands)
+    return GarsideForm(u.strands, m, tuple(Permutation(u.strands, f) for f in fs))
 
 
 def _dynnikov(k: int, *words) -> list[int]:

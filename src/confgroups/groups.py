@@ -413,7 +413,8 @@ _FAMILIES: dict[str, _Family] = {
         lambda p: [0],
     ),
     "symmetric": _Family(
-        "sym", UNORDERED, 2, _STRANDS, lambda p: (p, 2, 2),
+        "sym", UNORDERED, 3, "{tag} needs at least 3 points: Sigma_2 is the group of no stratum",
+        lambda p: (p, 2, 3),
         lambda p: f"Σ_{p}", "Sigma_k (off the loci i=1 and i=n=k-1)",
         parse_word, _s_image, None, _s_image,
         lambda p: _relators("symmetric", p),

@@ -5,15 +5,17 @@ normal-form / linear-algebra code paths: brute-force rewriting closure for
 positive braid words, gcd-of-minors invariant factors, an unwrap-based winding
 count, and a tiny standalone permutation calculus.  The package is tested
 against these, never the other way around.  The letter-at-a-time pair
-renormalisation and reduced words, the one-letter-per-factor combing and the
-frame-by-frame loop functions are the references for the package's Garside
-kernel, identity-free combing and batched loop layer; the name-based coset
-table walk is the reference for the column-based closing check.  The last
-two sections keep four earlier package paths as references for their
-replacements: word-problem equality by one normal form of u v^-1, the
-three-phase Smith normal form, the Todd-Coxeter enumerator whose table
-readers resolved merged cosets with find, and the braid reader that decided
-crossings in floats under rounding bounds, with Fractions behind them.
+renormalisation and reduced words, the earlier normal-form pipeline (a
+reversed pass for negative letters, then one-letter-per-factor combing that
+walks every half twist to the front) and the frame-by-frame loop functions
+are the references for the package's Garside kernel, its one-pass normal
+form and batched loop layer; the name-based coset table walk is the
+reference for the column-based closing check.  The last two sections keep
+four earlier package paths as references for their replacements:
+word-problem equality by one normal form of u v^-1, the three-phase Smith
+normal form, the Todd-Coxeter enumerator whose table readers resolved merged
+cosets with find, and the braid reader that decided crossings in floats
+under rounding bounds, with Fractions behind them.
 """
 
 from __future__ import annotations
@@ -272,9 +274,11 @@ def reference_word_of(p: tuple[int, ...]) -> list[int]:
 
 # reference combing: one raw factor per letter in a fixed-length list, so
 # every later factor is combed back through the identity factors that
-# cancelled letters leave behind.  Same signature as
-# confgroups.braids._normalise, which must agree with it exactly; both comb
-# with the package's pair renormalisation.
+# cancelled letters leave behind, and every half twist the combing fills is
+# walked through the prefix to the front.  reference_garside_normal_form puts
+# it behind the earlier reversed pass for negative letters; the package's
+# garside_normal_form must agree with that pipeline exactly.  Both comb with
+# the package's pair renormalisation.
 
 
 def reference_normalise(factors, k):
@@ -299,6 +303,23 @@ def reference_normalise(factors, k):
     while tail > lead and fs[tail - 1] == identity:
         tail -= 1
     return lead, fs[lead:tail]
+
+
+def reference_garside_normal_form(word):
+    """The Garside form by the earlier pipeline: a reversed pass rewrites each
+    s_i^-1 as Delta^-1 times its complement (s_i reversed) and moves the
+    Delta^-1 to the front, reading the letters it passes through tau (s_i as
+    s_(k-i)); reference_normalise combs the factors, one per letter."""
+    from confgroups.braids import GarsideForm, Permutation
+
+    k, letters, power = word.strands, [], 0
+    for i, s in reversed(word.letters):
+        letters.append((k - i if power & 1 else i, s))
+        if s < 0:
+            power -= 1
+    swap = {i: tuple(v + 1 for v in perm_transposition(k, i - 1, i)) for i in range(1, k)}
+    lead, fs = reference_normalise([swap[i][::s] for i, s in reversed(letters)], k)
+    return GarsideForm(k, power + lead, tuple(Permutation(k, f) for f in fs))
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,7 @@ def _random_token_text(rng, k, max_letters):
         size += letters * abs(e)
 
 
-def test_normal_form_matches_identity_combing_reference(monkeypatch):
+def test_normal_form_matches_identity_combing_reference():
     rng = random.Random(14)
     words = []
     for n in range(2000):
@@ -299,8 +299,34 @@ def test_normal_form_matches_identity_combing_reference(monkeypatch):
     for w, form in zip(words, forms):
         spelled = spell_form(form).letters
         assert braids._dynnikov(w.strands, spelled) == braids._dynnikov(w.strands, w.letters)
-    monkeypatch.setattr(braids, "_normalise", helpers.reference_normalise)
-    assert [garside_normal_form(w) for w in words] == forms
+    assert [helpers.reference_garside_normal_form(w) for w in words] == forms
+
+
+def test_normal_form_matches_the_earlier_pipeline_on_seeded_words():
+    # at k = 2 every letter is a half twist: all words of up to 8 letters
+    words = [
+        BraidWord(2, tuple((1, s) for s in signs))
+        for length in range(9)
+        for signs in itertools.product((1, -1), repeat=length)
+    ]
+    rng = random.Random(17)
+    for _ in range(20000):
+        k, length = rng.randint(1, 9), rng.randint(0, 150)
+        words.append(BraidWord(k, tuple(helpers.random_letters(rng, k, length) if k > 1 else ())))
+    words += [BraidWord(k, tuple(helpers.random_letters(rng, k, 5000))) for k in range(3, 9)]
+    # grouped by strand count, so the pair memo serves both sides
+    for w in sorted(words, key=lambda w: w.strands):
+        assert garside_normal_form(w) == helpers.reference_garside_normal_form(w), w
+
+
+def test_normal_form_counts_half_twists_instead_of_walking_them():
+    # walking each half twist the combing fills to the front made 955,527
+    # pair renormalisations on this word
+    w = BraidWord(6, tuple(helpers.random_letters(random.Random(19), 6, 5000)))
+    braids._renorm.cache_clear()
+    garside_normal_form(w)
+    info = braids._renorm.cache_info()
+    assert info.hits + info.misses < 50_000
 
 
 def _one_based(*perms):

@@ -138,10 +138,14 @@ def test_case_statements_name_the_stratum():
 
 
 def test_descriptor_for_representatives():
-    for tag in ("braid", "pure_braid", "braid_mod_delta_sq", "pure_braid_mod_D", "symmetric"):
-        d = descriptor_for(tag, 4)
-        assert d.tag == tag and d.parameter == 4
-        assert classify(d.k, d.i, d.n, d.flavor) == d
+    # every sized tag names a stratum of its own group, from its least size up
+    for tag, family in groups._FAMILIES.items():
+        if not family.min_size:  # trivial and integers have no size
+            continue
+        for p in range(family.min_size, 9):
+            d = descriptor_for(tag, p)
+            assert d.tag == tag and d.parameter == p
+            assert classify(d.k, d.i, d.n, d.flavor) == d
     d = descriptor_for("central_ext_top", 3)
     assert (d.k, d.i, d.n) == (3, 2, 2) and d.parameter == 3
     assert classify(d.k, d.i, d.n, d.flavor) == d
@@ -151,6 +155,8 @@ def test_descriptor_for_representatives():
         descriptor_for("braid", 1)
     with pytest.raises(GroupError):
         descriptor_for("central_ext_top", 2)
+    with pytest.raises(GroupError, match="Sigma_2 is the group of no stratum"):
+        descriptor_for("symmetric", 2)
     with pytest.raises(GroupError):
         descriptor_for("nonsense", 3)
 
@@ -381,7 +387,9 @@ def test_identity_words():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_symmetric_relators_define_the_symmetric_group(k):
-    rels = descriptor_relators(descriptor_for("symmetric", k))
+    # Sigma_2 is the group of no stratum, so it has no descriptor
+    family = groups._FAMILIES["symmetric"]
+    rels = descriptor_relators(descriptor_for("symmetric", k)) if k >= 3 else family.relators(k)
     gens = tuple(f"s{i}" for i in range(1, k))
     pres = Presentation(gens, tuple(tuple((f"s{i}", s) for i, s in r.letters) for r in rels))
     table = todd_coxeter(pres)
