@@ -11,7 +11,9 @@ adds to the alphabet's, and their letter count in closed form.
 
 Coset tables have one column per letter, generator t at 2t and its inverse at
 2t+1 (so ``c ^ 1`` is the inverse column); ``_columns`` is the one encoder and
-rejects any letter but (generator, +1 or -1).  Coset enumeration is plain HLT
+rejects any letter but (generator, +1 or -1).  A Presentation encodes its
+relators once, when it is built, as ``_rel_cols``, which the relator matrix,
+the enumeration and the closing check read.  Coset enumeration is plain HLT
 (scan-and-fill every relator from every live coset in creation order).  Only
 the coincidence queue sees merged cosets: it moves a dead coset's edges to its
 union-find representative, so every other reader takes live rows as they
@@ -19,14 +21,16 @@ stand.  Hitting the coset cap is a normal outcome reported in the table
 status, not an error.  A complete table is returned only after a closing check
 walks its rows: every entry is a coset index, column c^1 inverts column c,
 every relator closes from every coset, the subgroup words fix coset 0.
-Smith normal form is one re-pivoting loop over unbounded Python integers:
-the invariant factors are unique, so any pivot order gives the same answer.
+Smith normal form first eliminates unit entries on sparse rows (Tietze
+elimination of a generator, each an invariant factor 1), then runs one
+re-pivoting loop over what is left, in unbounded Python integers: the
+invariant factors are unique, so any pivot order gives the same answer.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
@@ -50,6 +54,7 @@ class PresentationError(ValueError):
 class Presentation:
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
+    _rel_cols: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.generators)) != len(self.generators):
@@ -59,7 +64,7 @@ class Presentation:
                 raise PresentationError(
                     f"generator name {name!r} must start with a lowercase letter"
                 )
-        _columns(self.generators, self.relators)
+        object.__setattr__(self, "_rel_cols", tuple(_columns(self.generators, self.relators)))
 
 
 def _columns(generators: tuple[str, ...], words: tuple[Word, ...]) -> list[tuple[int, ...]]:
@@ -320,7 +325,7 @@ class CosetTable:
             or any([rows[rows[x][c]][c ^ 1] for x in cosets] != cosets for c in range(width))
         ):
             return False
-        for cols in _columns(self.presentation.generators, self.presentation.relators):
+        for cols in self.presentation._rel_cols:
             ends = cosets  # walk every coset at once, one column per letter
             for c in cols:
                 ends = [rows[x][c] for x in ends]
@@ -350,7 +355,6 @@ def todd_coxeter(
     if max_cosets < 1:
         raise PresentationError("max_cosets must be at least 1")
     g = len(p.generators)
-    rel_cols = _columns(p.generators, p.relators)
     sub_cols = _columns(p.generators, subgroup)
 
     tab: list[list[int | None]] = [[None] * (2 * g)]
@@ -435,7 +439,7 @@ def todd_coxeter(
         i = 0
         while i < len(tab):
             if parent[i] == i:
-                for rel in rel_cols:
+                for rel in p._rel_cols:
                     if not scan_and_fill(rel, i):
                         return False
                     if parent[i] != i:
@@ -513,18 +517,44 @@ class AbelianInvariants:
         return " x ".join(parts) if parts else "1"
 
 
+def _unit_pass(rows: list[tuple[int, ...]]) -> tuple[int, list[list[int]]]:
+    """Tietze elimination of unit entries from nonzero rows, held as
+    {column: entry}: while a row holds a +-1, take a shortest such row, clear
+    that unit's column from the other rows (touching only their nonzeros),
+    and drop the row and the column, one invariant factor 1 each.  Returns
+    that count and the rest, dense over the columns still holding an entry."""
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    units = 0
+    while picks := [(len(r), i) for i, r in enumerate(sparse) if 1 in map(abs, r.values())]:
+        top = sparse.pop(min(picks)[1])
+        j, u = next((j, x) for j, x in top.items() if abs(x) == 1)
+        for row in sparse:
+            if f := row.get(j, 0) * u:
+                for c, x in top.items():
+                    if y := row.get(c, 0) - f * x:
+                        row[c] = y
+                    else:
+                        del row[c]
+        units += 1
+    sparse = [r for r in sparse if r]
+    cols = sorted(set().union(*sparse))
+    return units, [[r.get(c, 0) for c in cols] for r in sparse]
+
+
 def smith_normal_form(m: IntegerMatrix) -> tuple[int, ...]:
     """Nonzero invariant factors d_1 | d_2 | ... of the integer matrix.
 
-    One re-pivoting loop over the nonzero rows, in unbounded integers: move
-    an entry of least |value| to the pivot (0, 0) and reduce the pivot's
-    column and row by it.  A remainder left is smaller than the pivot, so
-    pick again; if the pivot does not divide a later row, add that row to
-    the pivot row, whose remainder the next pick then brings out.  Otherwise
-    the pivot is the next invariant factor and its row and column go.
+    _unit_pass first takes out the +-1 entries, each an invariant factor 1
+    (builtin relator matrices keep at most one column).  Then one re-pivoting
+    loop over the rest, in unbounded integers: move an entry of least |value|
+    to the pivot (0, 0) and reduce the pivot's column and row by it.  A
+    remainder left is smaller than the pivot, so pick again; if the pivot
+    does not divide a later row, add that row to the pivot row, whose
+    remainder the next pick then brings out.  Otherwise the pivot is the next
+    invariant factor and its row and column go.
     """
-    a = [list(row) for row in m.entries if any(row)]
-    invariants: list[int] = []
+    units, a = _unit_pass([row for row in m.entries if any(row)])
+    invariants = [1] * units
     while a:
         _, i, j = min((abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
         a[0], a[i] = a[i], a[0]
@@ -552,7 +582,7 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[int, ...]:
 def relator_matrix(p: Presentation) -> IntegerMatrix:
     """Exponent-sum matrix: one row per relator, one column per generator."""
     rows = []
-    for cols in _columns(p.generators, p.relators):
+    for cols in p._rel_cols:
         row = [0] * len(p.generators)
         for c in cols:
             row[c >> 1] += -1 if c & 1 else 1

@@ -374,15 +374,21 @@ def _step_letters(E: np.ndarray, F: np.ndarray, rankE: np.ndarray, rankF: np.nda
 
         crossings = sorted(crossings, key=cmp_to_key(compare))
     # each maximal run of one sign is a permutation braid: its crossings
-    # reverse pairs that cross once, so its permutation fixes it
+    # reverse pairs that cross once, so its permutation fixes it.  It moves
+    # only the ranks lo..hi-1 of its strands, and _reduced_word never swaps
+    # the fixed ranks around them, so that interval is spelled, offset by lo.
     rank = rankE.tolist()
+    at = sorted(range(len(rank)), key=rank.__getitem__)  # the strand at each rank
     letters: list[tuple[int, int]] = []
     for sign, run in groupby(crossings, key=signs.__getitem__):
-        at = sorted(range(len(rank)), key=rank.__getitem__)
+        run = list(run)
+        ends = [rank[s] for i in run for s in (p[i], q[i])]
+        lo, hi = min(ends), max(ends) + 1
         for i in run:
             rank[p[i]] += 1
             rank[q[i]] -= 1
-        letters += [(j, sign) for j in _reduced_word(tuple(rank[s] for s in at))]
+        letters += [(j + lo, sign) for j in _reduced_word(tuple(rank[s] for s in at[lo:hi]))]
+        at[lo:hi] = sorted(at[lo:hi], key=rank.__getitem__)
     return letters
 
 

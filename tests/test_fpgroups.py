@@ -478,11 +478,70 @@ def test_smith_matches_three_phase_reference():
         ]
         m = IntegerMatrix.from_rows(rows, cols=nc)
         assert smith_normal_form(m) == helpers.reference_smith_normal_form(m)
-    names = ("artin", "braid_mod_delta_sq", "unordered_top", "pure_braid", "pure_braid_mod_D")
-    for name in names:
+    for name in fpgroups._BUILTINS:
         for k in range(2, 13):
             m = relator_matrix(builtin_presentation(name, k))
             assert smith_normal_form(m) == helpers.reference_smith_normal_form(m), (name, k)
+
+
+def test_smith_matches_references_on_sparse_matrices():
+    # few nonzeros per row from {+-1, +-2, +-3, +-6}: the unit pass's fill-in
+    # both creates units (3 - 2) and cancels them (1 - 1)
+    rng = random.Random(25)
+    values = (1, -1, 2, -2, 3, -3, 6, -6)
+    for _ in range(600):
+        nr, nc = rng.randint(0, 60), rng.randint(1, 40)
+        if rng.random() < 0.3:
+            nr, nc = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [[0] * nc for _ in range(nr)]
+        for row in rows:
+            for _ in range(rng.randint(1, 3)):
+                row[rng.randrange(nc)] = rng.choice(values)
+        got = smith_normal_form(IntegerMatrix.from_rows(rows, cols=nc))
+        assert got == helpers.reference_smith_normal_form(IntegerMatrix.from_rows(rows, cols=nc))
+        if nr <= 3 and nc <= 3:
+            assert got == helpers.minor_gcd_invariants(rows)
+
+
+def test_unit_pass_leaves_builtin_matrices_at_most_one_column():
+    left = {
+        "artin": lambda k: [],
+        "unordered_top": lambda k: [],
+        "pure_braid": lambda k: [],
+        "pure_braid_mod_D": lambda k: [],
+        "braid_mod_delta_sq": lambda k: [[k * (k - 1)]],
+        "symmetric": lambda k: [[2]] * (k - 1),
+    }
+    assert left.keys() == fpgroups._BUILTINS.keys()
+    for name, expected in left.items():
+        for k in range(2, 13):
+            m = relator_matrix(builtin_presentation(name, k))
+            units, rest = fpgroups._unit_pass([row for row in m.entries if any(row)])
+            assert all(len(row) <= 1 for row in rest), (name, k)
+            assert [[abs(x) for x in row] for row in rest] == expected(k), (name, k)
+            assert smith_normal_form(m)[:units] == (1,) * units
+
+
+def test_relators_are_encoded_once_per_presentation(monkeypatch):
+    encoded = []
+    columns = fpgroups._columns
+
+    def counting(generators, words):
+        encoded.append(words)
+        return columns(generators, words)
+
+    monkeypatch.setattr(fpgroups, "_columns", counting)
+    p = builtin_presentation("symmetric", 4)
+    assert abelianization(p) == AbelianInvariants(0, (2,))
+    table = todd_coxeter(p)
+    assert table.num_cosets == 24
+    assert [w for w in encoded if w == p.relators] == [p.relators]
+    # subgroup words and traced words are encoded as they come
+    encoded.clear()
+    sub = ((("s1", 1),),)
+    assert todd_coxeter(p, sub).num_cosets == 12
+    assert table.trace(sub[0]) is not None
+    assert encoded == [sub, sub, sub]
 
 
 def test_smith_handles_entry_growth():
