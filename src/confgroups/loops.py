@@ -32,23 +32,27 @@ is a real collision of two points.  Every computation measures coordinates
 in one power-of-two unit (_unit), so any finite coordinates are read, and
 every tolerance is relative to max(1, largest modulus).
 
-Per-frame work runs as numpy operations over the whole frame axis: reading
-the JSON coordinates, the finiteness and pairwise-distance checks (in chunks
-of about _CHUNK_COORDINATES coordinates, one point against the later ones at
-a time, so temporaries stay near a chunk or one frame whatever k and n), the
-span SVDs, the determinants with their certificates, one bisection level of
-all open determinant steps at a time, and the (Re, Im) order of every frame.
-Python loops remain only where single steps need individual treatment:
-reading the letters of a step whose order changes (a step whose order is
-unchanged has no crossings), and matching the end frames as point sets.
+Loop JSON is read in one pass over its [re, im] pairs, packed as doubles,
+once the nesting is checked level by level.  Per-frame work runs as numpy
+operations over the whole frame axis: the finiteness and pairwise-distance
+checks (in chunks of about _CHUNK_COORDINATES coordinates, one point against
+the later ones at a time, so temporaries stay near a chunk or one frame
+whatever k and n), the span SVDs, the determinants with their certificates,
+one bisection level of all open determinant steps at a time, and the (Re, Im)
+order of every frame.  Python loops remain only where single steps need
+individual treatment: reading the letters of a step whose order changes (a
+step whose order is unchanged has no crossings), and matching the end frames
+as point sets.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import groupby
+from itertools import chain, groupby
+from numbers import Number
 
 import numpy as np
 
@@ -79,6 +83,8 @@ _REFINE_BUDGET = 1024  # midpoint evaluations det_winding may add
 _CLOSURE_TOL = 1e-6
 _CHUNK_COORDINATES = 256 * 15 * 6  # coordinates of 640 frames at k = n = 6
 _MAX_COORDINATES = 10**7  # frames * k * n of a generated loop: 160 MB of complex
+_MALFORMED_FRAMES = "malformed loop JSON: frames must be nested lists of [re, im] number pairs"
+_OVERFLOW = "malformed loop JSON: int too large to convert to float"
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +94,7 @@ class ConfigLoop:
     frames: np.ndarray  # (T, k, n) complex, read-only
 
     def __post_init__(self) -> None:
-        arr = np.array(self.frames, dtype=complex)
+        arr = _coordinates(self.frames)
         if arr.ndim != 3 or arr.shape[1:] != (self.k, self.n):
             raise LoopError(
                 f"frames must have shape (T, {self.k}, {self.n}), got {arr.shape}"
@@ -111,6 +117,18 @@ class ConfigLoop:
     @property
     def num_frames(self) -> int:
         return int(self.frames.shape[0])
+
+
+def _coordinates(values) -> np.ndarray:
+    """values as a new complex array.  An array of numbers, or of Python
+    number objects such as integers past 64 bits, reads; str, bytes, None and
+    any other value are refused, where numpy would parse a string."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biufc" and not (
+        arr.dtype == object and all(isinstance(v, Number) for v in arr.flat)
+    ):
+        raise LoopError("frames must have numeric coordinates")
+    return arr.astype(complex)
 
 
 def _first_coincident_frame(frames: np.ndarray, unit: float, base: float) -> int | None:
@@ -167,7 +185,7 @@ class SpanReport:
 def span_dimension(points, tol: float = _SPAN_TOL) -> int:
     """Affine span dimension: rank of the difference matrix, singular values
     counted above tol relative to the largest."""
-    pts = np.asarray(points, dtype=complex)
+    pts = _coordinates(points)
     if pts.ndim != 2:
         raise LoopError("points must be a k x n array")
     if not np.all(np.isfinite(pts)):
@@ -266,22 +284,39 @@ def loop_to_json_obj(loop: ConfigLoop) -> dict:
 
 
 def loop_from_json_obj(obj: dict) -> ConfigLoop:
+    """The loop of loop_to_json_obj's form.  Frames nest as lists (or tuples)
+    of one length at each level, down to [re, im] pairs of real numbers;
+    anything else is refused with a LoopError."""
     try:
         k, n = obj["k"], obj["n"]
         if type(k) is not int or type(n) is not int:  # not a float, string or bool
             raise LoopError("malformed loop JSON: k and n must be integers")
         if obj.get("closed", True) is not True:
             raise LoopError("loop JSON must describe a closed loop")
-        pairs = np.array(obj["frames"])
-        if pairs.dtype == object and all(isinstance(v, (int, float)) for v in pairs.flat):
-            pairs = pairs.astype(float)  # integers beyond 64 bits
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        level = [obj["frames"]]
+    except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, LoopError):
             raise
         raise LoopError(f"malformed loop JSON: {exc}") from exc
-    if pairs.dtype.kind not in "biuf" or pairs.ndim != 4 or pairs.shape[-1] != 2:
-        raise LoopError("malformed loop JSON: frames must be nested lists of [re, im] number pairs")
-    return ConfigLoop(k, n, np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0])
+    try:
+        shape = []
+        for depth in range(4):  # the frames list, each frame, each point, each [re, im] pair
+            sizes = set(map(len, level))
+            if len(sizes) != 1 or not set(map(type, level)) <= {list, tuple}:
+                raise TypeError  # ragged, empty, or not a list
+            shape.append(sizes.pop())
+            if depth < 3:
+                level = list(chain.from_iterable(level))
+        if shape[3] != 2:
+            raise TypeError
+        # native doubles keep -0.0 and NaN payloads; anything but a real number is refused
+        coords = struct.pack(f"{2 * len(level)}d", *chain.from_iterable(level))
+    except (TypeError, ValueError) as exc:
+        raise LoopError(_MALFORMED_FRAMES) from exc
+    except struct.error as exc:  # a leaf that is not a number is named before one past float range
+        numbers = all(isinstance(v, (int, float)) for v in chain.from_iterable(level))
+        raise LoopError(_OVERFLOW if numbers else _MALFORMED_FRAMES) from exc
+    return ConfigLoop(k, n, np.frombuffer(coords, complex).reshape(shape[:3]))
 
 
 # ---------------------------------------------------------------------------

@@ -562,7 +562,8 @@ def reference_verify(table) -> bool:
 # now compares the canonical forms of u and v), the three-phase Smith normal
 # form (now one re-pivoting loop), and the coset enumeration that left stale
 # entries for find to resolve (now only the coincidence queue sees merged
-# cosets).
+# cosets), and the loop JSON reader that built the coordinates with one
+# np.array call over the nested lists (now one complex() pass over the pairs).
 
 
 def reference_uv_inverse_equal(d, u, v) -> bool:
@@ -770,6 +771,27 @@ def reference_todd_coxeter(p, subgroup=(), max_cosets: int = 10**5):
     if not capped and not result.verify():
         raise RuntimeError("coset table failed its closing consistency check")
     return result
+
+
+def reference_numpy_loop_reader(obj: dict):
+    from confgroups.loops import ConfigLoop, LoopError
+
+    try:
+        k, n = obj["k"], obj["n"]
+        if type(k) is not int or type(n) is not int:  # not a float, string or bool
+            raise LoopError("malformed loop JSON: k and n must be integers")
+        if obj.get("closed", True) is not True:
+            raise LoopError("loop JSON must describe a closed loop")
+        pairs = np.array(obj["frames"])
+        if pairs.dtype == object and all(isinstance(v, (int, float)) for v in pairs.flat):
+            pairs = pairs.astype(float)  # integers beyond 64 bits
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, LoopError):
+            raise
+        raise LoopError(f"malformed loop JSON: {exc}") from exc
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != 4 or pairs.shape[-1] != 2:
+        raise LoopError("malformed loop JSON: frames must be nested lists of [re, im] number pairs")
+    return ConfigLoop(k, n, np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Sampled configuration loops: span checks, braid extraction, det winding."""
 
+import copy
+import functools
 import math
 import os
 import subprocess
@@ -91,6 +93,22 @@ def test_non_finite_coordinates_are_rejected():
     obj["frames"][30][0][0][0] = math.nan  # one NaN frame
     with pytest.raises(LoopError, match="finite"):
         loop_from_json_obj(obj)
+
+
+def test_non_numeric_coordinates_are_refused():
+    # numpy would parse "0" and "1+2j", read None as NaN and refuse "x" untyped
+    for bad in ("1", "x", b"1", None):
+        with pytest.raises(LoopError, match="^frames must have numeric coordinates$"):
+            ConfigLoop(2, 1, [[["0"], [bad]], [["0"], [bad]]])
+        with pytest.raises(LoopError, match="^frames must have numeric coordinates$"):
+            ConfigLoop(2, 1, [[[0], [bad]], [[0], [bad]]])
+    with pytest.raises(LoopError, match="^frames must have numeric coordinates$"):
+        span_dimension([["0"], ["1+2j"]])
+    # Python numbers in an object array still read, integers past 64 bits too
+    loop = ConfigLoop(1, 1, [[[2**70]], [[2**70]]])
+    assert loop.frames.dtype == complex and loop.frames[0, 0, 0] == 2.0**70
+    assert ConfigLoop(2, 1, [[[0], [1 + 1j]], [[0], [1.0 + 1j]]]).frames[0, 1, 0] == 1 + 1j
+    assert span_dimension([[0], [2**70]]) == 1
 
 
 def test_coincident_frame_index_across_chunks():
@@ -545,9 +563,16 @@ def test_json_round_trip():
     g = make_gamma_loop(3)
     obj = loop_to_json_obj(g)
     assert obj["k"] == 3 and obj["n"] == 2 and obj["closed"] is True
-    back = loop_from_json_obj(obj)
-    assert (back.k, back.n) == (g.k, g.n)
-    assert np.allclose(back.frames, g.frames)
+    # signed zeros and subnormals, and the swap of two points past the float
+    # range's modulus (CI's huge.json)
+    tiny = _loop_from_points(2, 2, [[[complex(-0.0, 5e-324), 1], [1, complex(-5e-324, -0.0)]]] * 3)
+    c, z = 1.3e308 * (1 + 1j), 1e307 * np.exp(1j * np.pi * np.arange(65) / 64)
+    huge = _loop_from_points(2, 1, np.stack([c + z, c - z], axis=1)[:, :, None])
+    for loop in (g, make_h_loop(3), tiny, huge):
+        back = loop_from_json_obj(loop_to_json_obj(loop))
+        assert (back.k, back.n) == (loop.k, loop.n)
+        assert back.frames.tobytes() == loop.frames.tobytes()
+    assert np.signbit(tiny.frames.real).sum() == 6 and np.signbit(tiny.frames.imag).sum() == 3
 
 
 def test_json_malformed():
@@ -767,4 +792,78 @@ def test_loop_json_fuzz_raises_only_loop_errors(obj):
     assert (got is None) == (expected is None)
     if got is not None:
         assert (got.k, got.n) == (expected.k, expected.n)
-        assert np.array_equal(got.frames, expected.frames)
+        assert got.frames.tobytes() == expected.frames.tobytes()  # -0.0 and NaN payloads too
+
+
+_MALFORMED = "malformed loop JSON: frames must be nested lists of [re, im] number pairs"
+
+
+def _read_outcome(reader, obj):
+    try:
+        loop = reader(obj)
+    except LoopError as exc:
+        return "refused", str(exc)
+    return "read", (loop.k, loop.n, loop.frames.shape, loop.frames.tobytes())
+
+
+def _numpy_reader_outcome(obj):
+    """The earlier reader's outcome, with the two messages the one-pass reader
+    words differently: numpy's ragged-shape text, and the overflow it named
+    for a regular nest of numbers that is not one of [re, im] pairs."""
+    kind, value = _read_outcome(helpers.reference_numpy_loop_reader, obj)
+    if kind == "refused" and (
+        value.startswith("malformed loop JSON: setting an array element with a sequence")
+        or value.endswith("int too large to convert to float")
+        and (len(np.shape(obj["frames"])) != 4 or np.shape(obj["frames"])[-1] != 2)
+    ):
+        value = _MALFORMED
+    return kind, value
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(_loop_json_objs())
+def test_json_reader_matches_the_numpy_reader(obj):
+    assert _read_outcome(loop_from_json_obj, obj) == _numpy_reader_outcome(obj)
+
+
+def _tuples(x):
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
+def _json_corpus():
+    """One loop JSON object per problem and nesting level: the frames list,
+    the middle frame, a point and a pair of it, and a coordinate."""
+    frame = [[[0.5, -0.0], [0, 1]], [[1, 0], [2, 1e-300]]]
+    good = {"k": 2, "n": 2, "frames": [frame] * 3}
+    problems = ([], "ab", "0", None, {"re": 0, "im": 1}, {0: 0, 1: 1}, b"\x00\x01", True,
+                2**64 + 1, 10**400, np.float64(0.25), np.int64(3), "ragged", "tuples")
+    for depth in range(5):
+        for problem in problems:
+            obj = copy.deepcopy(good)
+            parent, key = obj, "frames"
+            for index in (1, 0, 1, 0)[:depth]:
+                parent, key = parent[key], index
+            item = parent[key]
+            if problem == "ragged":  # one item fewer than its siblings, or a list for a number
+                problem = [frame, frame[0]] if depth == 0 else item[:-1] if depth < 4 else [item]
+            elif problem == "tuples":
+                problem = _tuples(item)
+            parent[key] = problem
+            yield obj
+    yield {**good, "k": 3}  # a regular array of the wrong (k, n)
+    yield {**good, "n": 1}
+    yield {**good, "frames": [frame]}  # one frame
+    yield {**good, "frames": [[[[1, 0, 0]], [[0, 1, 0]]]] * 2}  # triples
+    # a number past the float range beside one that is not a number
+    yield {**good, "frames": [[[[10**400, 0]], [[0, 1]]], [[[None, 0]], [[0, 1]]]]}
+    yield {**good, "frames": [[[[10**400, 0]], [[0, 1]]]] * 2}
+
+
+def test_json_reader_matches_the_numpy_reader_on_a_corpus():
+    outcomes = set()
+    for obj in _json_corpus():
+        got = _read_outcome(loop_from_json_obj, obj)
+        assert got == _numpy_reader_outcome(obj), obj
+        outcomes.add(got[0] if got[0] == "read" else got[1])
+    assert {"read", _MALFORMED, "a loop needs at least 2 frames",
+            "malformed loop JSON: int too large to convert to float"} <= outcomes
