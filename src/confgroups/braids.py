@@ -17,7 +17,8 @@ Conventions, fixed once and used everywhere:
   reversal;
 * word text syntax is whitespace-separated tokens "s1 s2^-1 a[1,3] delta^2"
   where a[i,j] expands to the standard pure-braid generator word and delta to
-  the staircase.
+  the staircase.  A parse reads and expands each distinct token once, in a
+  table that lives for that call, and every later copy is one lookup.
 
 The kernel is a handful of pure functions on permutation image tuples, the
 very Permutation.images of the forms it returns, each standing for the
@@ -26,8 +27,9 @@ one factor per letter, and combs the factors left-weighted with _renorm,
 which moves letters across one pair; each half twist it meets is counted
 and flips whether the stored factors are conjugated by tau, so none is
 walked to the front.  _reduced_word spells a factor back.  _renorm's bounded
-LRU cache is the only memo: combing meets the same few pairs again and
-again, and short words at k <= 6 take about 1.7 times as long without it.
+LRU cache is the only memo that outlives a call: combing meets the same
+few pairs again and again, and short words at k <= 6 take about 1.7 times
+as long without it.
 """
 
 from __future__ import annotations
@@ -106,7 +108,11 @@ class BraidWord:
                 f"{self.strands} strands: the half twist would have more than "
                 f"{_MAX_LETTERS} letters"
             )
-        for i, s in self.letters:
+        try:  # a word repeats few distinct letters: check each once, in order
+            distinct = dict.fromkeys(self.letters)
+        except TypeError:  # an unhashable letter, such as a list
+            distinct = self.letters
+        for i, s in distinct:
             if not 1 <= i <= self.strands - 1:
                 raise BraidError(f"generator index {i} out of range for {self.strands} strands")
             if s not in (1, -1):
@@ -417,12 +423,18 @@ def pure_word_to_braid(strands: int, letters) -> BraidWord:
     """Translate a word in pure-braid generators ((PureGeneratorId, sign) pairs)
     into the corresponding braid word."""
     out: list[tuple[int, int]] = []
+    images: dict = {}  # (generator, sign) -> its signed image, for this call
     for gen, sign in letters:
-        if gen.strands != strands:
-            raise BraidError("pure generator strand count mismatch")
-        image = pure_generator(gen).letters
-        _check_letter_budget(len(out) + len(image))
-        out += image if sign > 0 else _inverse_letters(image)
+        image = images.get((gen, sign))
+        if image is None:
+            if gen.strands != strands:
+                raise BraidError("pure generator strand count mismatch")
+            image = pure_generator(gen).letters
+            _check_letter_budget(len(out) + len(image))
+            image = images[gen, sign] = image if sign > 0 else _inverse_letters(image)
+        else:
+            _check_letter_budget(len(out) + len(image))
+        out += image
     return BraidWord(strands, tuple(out))
 
 
@@ -471,22 +483,31 @@ def _parse_token(token: str, strands: int, allow_compound: bool) -> tuple[tuple,
 def parse_word(text: str, strands: int, *, allow_compound: bool = True) -> BraidWord:
     """Parse braid-word text; a[i,j] and delta tokens expand to their words."""
     letters: list[tuple[int, int]] = []
+    pieces: dict[str, tuple] = {}  # token -> its powered letters, for this call
     for token in text.split():
-        base, exp = _parse_token(token, strands, allow_compound)
-        letters += _power_letters(base, exp, len(letters))
+        piece = pieces.get(token)
+        if piece is None:
+            base, exp = _parse_token(token, strands, allow_compound)
+            piece = pieces[token] = _power_letters(base, exp, len(letters))
+        else:
+            _check_letter_budget(len(letters) + len(piece))
+        letters += piece
     return BraidWord(strands, tuple(letters))
 
 
 def parse_pure_word(text: str, strands: int) -> tuple[tuple[PureGeneratorId, int], ...]:
     """Parse a word over the pure-braid alphabet only: "a[1,2] a[1,3]^-1"."""
     letters: list[tuple[PureGeneratorId, int]] = []
+    pieces: dict[str, tuple] = {}  # token -> (letter, count), for this call
     for token in text.split():
-        _, exp, gen = _read_token(token, strands)
-        if gen is None:
-            raise BraidError(f"token {token!r} is not a pure-braid generator")
-        sign = 1 if exp > 0 else -1
-        _check_letter_budget(len(letters) + abs(exp))
-        letters += [(gen, sign)] * abs(exp)
+        if token not in pieces:
+            _, exp, gen = _read_token(token, strands)
+            if gen is None:
+                raise BraidError(f"token {token!r} is not a pure-braid generator")
+            pieces[token] = (gen, 1 if exp > 0 else -1), abs(exp)
+        letter, count = pieces[token]
+        _check_letter_budget(len(letters) + count)
+        letters += [letter] * count
     return tuple(letters)
 
 

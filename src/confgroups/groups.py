@@ -125,9 +125,11 @@ def descriptor_for(tag: str, parameter: int = 0) -> GroupDescriptor:
     family = _FAMILIES.get(tag)
     if family is None:
         raise GroupError(f"unknown tag {tag!r}")
-    if family.min_size and parameter < family.min_size:
+    undersized = family.min_size and parameter < family.min_size
+    stratum = None if undersized else family.representative(parameter)
+    if stratum is None:
         raise GroupError(family.too_small.format(tag=tag))
-    return GroupDescriptor(tag, *family.representative(parameter), family.flavor)
+    return GroupDescriptor(tag, *stratum, family.flavor)
 
 
 def case_statement(d: GroupDescriptor) -> str:
@@ -379,8 +381,8 @@ class _Family:
     cli_name: str  # what `confgroups equal --group` takes
     flavor: str
     min_size: int  # smallest p; 0 when the group has no size
-    too_small: str  # the error below min_size, formatted with the tag
-    representative: Callable[[int], tuple[int, int, int]]  # p -> (k, i, n)
+    too_small: str  # the error for a p that names no stratum, formatted with the tag
+    representative: Callable[[int], tuple[int, int, int] | None]  # p -> (k, i, n), None if none
     name: Callable[[int], str]  # p -> describe()
     anchor: str  # the right-hand side of case_statement
     parse: Callable[[str, int], object]  # (text, p) -> word
@@ -413,11 +415,11 @@ _FAMILIES: dict[str, _Family] = {
         lambda p: [0],
     ),
     "symmetric": _Family(
-        "sym", UNORDERED, 3, "{tag} needs at least 3 points: Sigma_2 is the group of no stratum",
-        lambda p: (p, 2, 3),
+        "sym", UNORDERED, 1, "{tag} needs at least 3 points: Sigma_2 is the group of no stratum",
+        lambda p: (1, 0, 1) if p == 1 else None if p == 2 else (p, 2, 3),
         lambda p: f"Σ_{p}", "Sigma_k (off the loci i=1 and i=n=k-1)",
         parse_word, _s_image, None, _s_image,
-        lambda p: _relators("symmetric", p),
+        lambda p: _relators("symmetric", p) if p > 1 else [],  # Sigma_1 is trivial
     ),
     "pure_braid": _Family(
         "pure", ORDERED, 2, _STRANDS, lambda p: (p, 1, 1),

@@ -122,13 +122,20 @@ class ConfigLoop:
 def _coordinates(values) -> np.ndarray:
     """values as a new complex array.  An array of numbers, or of Python
     number objects such as integers past 64 bits, reads; str, bytes, None and
-    any other value are refused, where numpy would parse a string."""
-    arr = np.asarray(values)
+    any other value are refused, where numpy would parse a string, and so
+    are ragged nesting and integers past the float range."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # numpy's inhomogeneous-shape error
+        raise LoopError(_MALFORMED_FRAMES) from exc
     if arr.dtype.kind not in "biufc" and not (
         arr.dtype == object and all(isinstance(v, Number) for v in arr.flat)
     ):
         raise LoopError("frames must have numeric coordinates")
-    return arr.astype(complex)
+    try:
+        return arr.astype(complex)
+    except OverflowError as exc:
+        raise LoopError(_OVERFLOW) from exc
 
 
 def _first_coincident_frame(frames: np.ndarray, unit: float, base: float) -> int | None:

@@ -9,8 +9,10 @@ renormalisation and reduced words, the earlier normal-form pipeline (a
 reversed pass for negative letters, then one-letter-per-factor combing that
 walks every half twist to the front) and the frame-by-frame loop functions
 are the references for the package's Garside kernel, its one-pass normal
-form and batched loop layer; the name-based coset table walk is the
-reference for the column-based closing check.  The last two sections keep
+form and batched loop layer; the word readers that parsed every occurrence
+of a token afresh are the references for those that read each distinct
+token once; the name-based coset table walk is the reference for the
+column-based closing check.  The last two sections keep
 four earlier package paths as references for their replacements:
 word-problem equality by one normal form of u v^-1, the three-phase Smith
 normal form, the Todd-Coxeter enumerator whose table readers resolved merged
@@ -227,6 +229,72 @@ def insert_group_relator(d, w, rng: random.Random):
     cut = rng.randrange(len(w) + 1)
     body = rel if rng.random() < 0.5 else tuple((g, -s) for g, s in reversed(rel))
     return w[:cut] + body + w[cut:]
+
+
+# ---------------------------------------------------------------------------
+# the word-text readers as they were when every occurrence was read afresh:
+# each token, and each pure generator's image, is parsed and expanded again
+# wherever it appears, and BraidWord's letter check visits every letter.  The
+# package reads each distinct token once per call and must agree exactly, in
+# letters and in the type and text of the first error.
+
+
+def reference_parse_word(text: str, strands: int, *, allow_compound: bool = True):
+    """Parse braid-word text; a[i,j] and delta tokens expand to their words."""
+    from confgroups.braids import BraidWord, _parse_token, _power_letters
+
+    letters: list[tuple[int, int]] = []
+    for token in text.split():
+        base, exp = _parse_token(token, strands, allow_compound)
+        letters += _power_letters(base, exp, len(letters))
+    return BraidWord(strands, tuple(letters))
+
+
+def reference_parse_pure_word(text: str, strands: int):
+    """Parse a word over the pure-braid alphabet only: "a[1,2] a[1,3]^-1"."""
+    from confgroups.braids import BraidError, _check_letter_budget, _read_token
+
+    letters = []
+    for token in text.split():
+        _, exp, gen = _read_token(token, strands)
+        if gen is None:
+            raise BraidError(f"token {token!r} is not a pure-braid generator")
+        sign = 1 if exp > 0 else -1
+        _check_letter_budget(len(letters) + abs(exp))
+        letters += [(gen, sign)] * abs(exp)
+    return tuple(letters)
+
+
+def reference_pure_word_to_braid(strands: int, letters):
+    """Translate a word in pure-braid generators ((PureGeneratorId, sign) pairs)
+    into the corresponding braid word."""
+    from confgroups.braids import (
+        BraidError,
+        BraidWord,
+        _check_letter_budget,
+        _inverse_letters,
+        pure_generator,
+    )
+
+    out: list[tuple[int, int]] = []
+    for gen, sign in letters:
+        if gen.strands != strands:
+            raise BraidError("pure generator strand count mismatch")
+        image = pure_generator(gen).letters
+        _check_letter_budget(len(out) + len(image))
+        out += image if sign > 0 else _inverse_letters(image)
+    return BraidWord(strands, tuple(out))
+
+
+def reference_check_letters(strands: int, letters) -> None:
+    """BraidWord's letter check, one letter after another."""
+    from confgroups.braids import BraidError
+
+    for i, s in letters:
+        if not 1 <= i <= strands - 1:
+            raise BraidError(f"generator index {i} out of range for {strands} strands")
+        if s not in (1, -1):
+            raise BraidError(f"letter sign must be +1 or -1, got {s}")
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,69 @@ def test_letter_validation():
         BraidWord(0)
 
 
+def _outcome(call):
+    """repr of what call returns, or the type and text of what it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:  # whatever the reference raises, the package must too
+        return type(exc), str(exc)
+
+
+def _check_letters(letters):
+    BraidWord(3, letters)
+
+
+def test_braid_word_rejects_what_the_per_letter_check_rejects():
+    # each distinct letter is checked once, so repeats and equal letters of
+    # other types must not change what is refused or the first message
+    refused = [
+        ((0, 1),),
+        ((3, 1),),
+        ((1, 0),),
+        ((1, 2),),
+        ((np.int64(3), 1),),
+        ((1, False),),
+        ((False, 1),),
+        ((1, 1), (1, 1, 1)),
+        ((1, 1), (2, -1), (1, 1), (1, 2), (0, 1)),
+        ((1, 1), (3.0, 1), (3, 1)),
+        ([1, 1], [3, 1]),  # list letters cannot be hashed: every letter is checked
+        ((1, [1]),),
+    ]
+    for letters in refused:
+        got = _outcome(lambda: _check_letters(letters))
+        assert got == _outcome(lambda: helpers.reference_check_letters(3, letters))
+        assert got[0] is (ValueError if len(letters[-1]) == 3 else BraidError)
+    assert _outcome(lambda: _check_letters(((3.0, 1), (3, 1)))) == (
+        BraidError,
+        "generator index 3.0 out of range for 3 strands",
+    )
+    assert _outcome(lambda: _check_letters(((1, True), (1, False)))) == (
+        BraidError,
+        "letter sign must be +1 or -1, got False",
+    )
+    accepted = [
+        ((np.int64(1), np.int64(-1)),),
+        ((True, True),),
+        ((1.5, 1),),
+        ([1, 1], [2, -1], [1, 1]),
+        ((1, 1), (1.0, 1), (True, 1), (np.int64(1), 1)),
+        (np.array([2, -1]),),
+    ]
+    for letters in accepted:
+        helpers.reference_check_letters(3, letters)
+        assert BraidWord(3, letters).letters is letters
+    # seeded sequences over good, bad and odd letters
+    rng = random.Random(20)
+    pool = [(1, 1), (2, -1), (1.0, 1), (True, -1), (np.int64(2), 1), [1, 1], (1.5, -1),
+            (0, 1), (3, -1), (1, 0), (2, 2), (1, False), (3.0, 1), (1, 1, 1), (2, [1])]
+    for _ in range(3000):
+        letters = tuple(rng.choice(pool) for _ in range(rng.randint(0, 10)))
+        assert _outcome(lambda: _check_letters(letters)) == _outcome(
+            lambda: helpers.reference_check_letters(3, letters)
+        )
+
+
 def test_multiply_is_concatenation():
     u = word(3, (1, 1))
     v = word(3, (1, -1))
@@ -407,6 +470,70 @@ def test_parse_pure_word():
     for bad in ("s1", "a[1,x]"):
         with pytest.raises(BraidError):
             parse_pure_word(bad, 3)
+
+
+def test_parsers_match_the_per_occurrence_references():
+    rng = random.Random(20)
+    cases = []
+    for _ in range(400):  # a few distinct tokens, each repeated many times
+        k = rng.randint(2, 7)
+        pool = _random_token_text(rng, k, 40).split()[:5] or ["s1"]
+        cases.append((k, " ".join(rng.choice(pool) for _ in range(rng.randint(0, 150)))))
+    cases += [
+        (3, text)
+        for text in (
+            "x7",  # bad tokens, first and after repeated good ones
+            "s1 s2 s1 s2^-1 s1 x7 s1 x7",
+            "s9 s9",
+            "s1 s1 s9 s1 s9",
+            "s1^x s1 s1^x",
+            "s2 a[1,x] s2 a[1,x]",
+            "a[2,1] s1 a[2,1]",
+            "s1 delta s1 delta^-1",  # refused only without compounds
+            "s1^600000 s1^600000",  # the letter budget meets a repeated token
+            "delta^200000 s1 delta^200000",
+            "a[1,3]^-100000 s1 s1 a[1,3]^-100000 s1 a[1,3]^-100000",
+            "s1^0 s1^0 s2^-0 s2",
+        )
+    ]
+    for k, text in cases:
+        for compound in (True, False):
+            assert _outcome(lambda: parse_word(text, k, allow_compound=compound)) == _outcome(
+                lambda: helpers.reference_parse_word(text, k, allow_compound=compound)
+            )
+    pure = []
+    for _ in range(300):
+        k = rng.randint(2, 7)
+        tokens = []
+        for _ in range(4):
+            j = rng.randint(2, k)
+            power = rng.choice(("", "^2", "^-1", "^-3", "^0"))
+            tokens.append(f"a[{rng.randint(1, j - 1)},{j}]{power}")
+        pure.append((k, " ".join(rng.choice(tokens) for _ in range(rng.randint(0, 150)))))
+    pure += [
+        (3, text)
+        for text in (
+            "a[1,2] s1 a[1,2] s1",
+            "a[1,2] a[1,2]^y a[1,2]^y",
+            "a[1,3] a[1,4] a[1,3] a[1,4]",
+            "a[1,2]^600000 a[1,2]^600000",
+        )
+    ]
+    pure.append((30, "a[1,30]^20000"))  # within the budget as pure letters, over it as a braid
+    for k, text in pure:
+        got = _outcome(lambda: parse_pure_word(text, k))
+        assert got == _outcome(lambda: helpers.reference_parse_pure_word(text, k))
+        if isinstance(got, str):
+            letters = parse_pure_word(text, k)
+            assert _outcome(lambda: pure_word_to_braid(k, letters)) == _outcome(
+                lambda: helpers.reference_pure_word_to_braid(k, letters)
+            )
+    # a generator of the wrong strand count, first and after repeated good ones
+    a12, a14 = PureGeneratorId(1, 2, 3), PureGeneratorId(1, 4, 4)
+    for letters in (((a14, 1),), ((a12, 1), (a12, -1), (a12, 1), (a14, -1), (a14, -1))):
+        assert _outcome(lambda: pure_word_to_braid(3, letters)) == _outcome(
+            lambda: helpers.reference_pure_word_to_braid(3, letters)
+        )
 
 
 def test_token_error_texts():

@@ -124,6 +124,14 @@ def test_equal_integers_letters(capsys):
     assert out.startswith("false")
 
 
+def test_equal_in_the_one_point_symmetric_group(capsys):
+    # classify --k 1 --i 0 --n 1 --unordered names Sigma_1; Sigma_2 names no stratum
+    code, out, _ = run(capsys, "equal", "--group", "sym", "--k", "1", "", "")
+    assert (code, out) == (0, "true (in Σ_1)\n")
+    code, _, err = run(capsys, "equal", "--group", "sym", "--k", "2", "", "")
+    assert code == 1 and "Sigma_2 is the group of no stratum" in err
+
+
 def test_readme_cli_tour_is_what_the_cli_prints(capsys):
     # every `$ confgroups ...` command of the README's console block, followed
     # by the lines it prints

@@ -143,6 +143,8 @@ def test_descriptor_for_representatives():
         if not family.min_size:  # trivial and integers have no size
             continue
         for p in range(family.min_size, 9):
+            if (tag, p) == ("symmetric", 2):  # refused below
+                continue
             d = descriptor_for(tag, p)
             assert d.tag == tag and d.parameter == p
             assert classify(d.k, d.i, d.n, d.flavor) == d
@@ -155,8 +157,14 @@ def test_descriptor_for_representatives():
         descriptor_for("braid", 1)
     with pytest.raises(GroupError):
         descriptor_for("central_ext_top", 2)
-    with pytest.raises(GroupError, match="Sigma_2 is the group of no stratum"):
-        descriptor_for("symmetric", 2)
+    for p in (2, 0, -1):
+        with pytest.raises(GroupError, match="Sigma_2 is the group of no stratum"):
+            descriptor_for("symmetric", p)
+    # Sigma_1, the group of one unordered point, is trivial: no relators
+    d = descriptor_for("symmetric", 1)
+    assert (d.k, d.i, d.n) == (1, 0, 1) and d.describe() == "Σ_1"
+    assert descriptor_relators(d) == []
+    assert equal_in_group(d, parse_word("", 1), parse_word("", 1))
     with pytest.raises(GroupError):
         descriptor_for("nonsense", 3)
 

@@ -111,6 +111,20 @@ def test_non_numeric_coordinates_are_refused():
     assert span_dimension([[0], [2**70]]) == 1
 
 
+def test_ragged_and_overflowing_coordinates_are_loop_errors():
+    # the texts loop_from_json_obj gives the same inputs; numpy's own errors escaped
+    overflow = "malformed loop JSON: int too large to convert to float"
+    cases = [
+        (lambda: ConfigLoop(2, 1, [[[0], [1]], [[0]]]), _MALFORMED),
+        (lambda: ConfigLoop(1, 1, [[[10**400]], [[10**400]]]), overflow),
+        (lambda: span_dimension([[0], [10**400]]), overflow),
+    ]
+    for make, text in cases:
+        with pytest.raises(LoopError) as info:
+            make()
+        assert str(info.value) == text
+
+
 def test_coincident_frame_index_across_chunks():
     chunk = loops._CHUNK_COORDINATES // (3 * 2)  # frames per chunk: 3 points in C^2
     base = make_gamma_loop(3, 3 * chunk + 5).frames
