@@ -75,7 +75,6 @@ from .groups import (
 )
 from .loops import (
     ConfigLoop,
-    CoarseFramesError,
     DegenerateSpanError,
     LoopError,
     SpanReport,

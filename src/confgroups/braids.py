@@ -425,8 +425,15 @@ def pure_word_to_braid(strands: int, letters) -> BraidWord:
     out: list[tuple[int, int]] = []
     images: dict = {}  # (generator, sign) -> its signed image, for this call
     for gen, sign in letters:
-        image = images.get((gen, sign))
-        if image is None:
+        try:
+            image = images.get((gen, sign))
+        except TypeError:  # an unhashable generator or sign, refused below
+            image = None
+        if image is None:  # each distinct letter is checked once, when first met
+            if not isinstance(gen, PureGeneratorId):
+                raise BraidError(f"not a pure-braid generator: {gen!r}")
+            if sign not in (1, -1):
+                raise BraidError(f"letter sign must be +1 or -1, got {sign}")
             if gen.strands != strands:
                 raise BraidError("pure generator strand count mismatch")
             image = pure_generator(gen).letters

@@ -415,7 +415,7 @@ _FAMILIES: dict[str, _Family] = {
         lambda p: [0],
     ),
     "symmetric": _Family(
-        "sym", UNORDERED, 1, "{tag} needs at least 3 points: Sigma_2 is the group of no stratum",
+        "sym", UNORDERED, 1, "{tag} needs 1 point or at least 3: Sigma_2 is the group of no stratum",
         lambda p: (1, 0, 1) if p == 1 else None if p == 2 else (p, 2, 3),
         lambda p: f"Σ_{p}", "Sigma_k (off the loci i=1 and i=n=k-1)",
         parse_word, _s_image, None, _s_image,

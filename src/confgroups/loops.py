@@ -21,12 +21,13 @@ extract_braid its braid exactly.  Each frame is ordered lexicographically by
 (Re, Im): the real-part order of the line turned by an infinitesimal angle,
 so real-part ties need no special treatment.  A pair crosses in a step
 exactly when its order differs at the two ends, and the crossing's sign is
-the turn of its difference from the first frame to the last.  A step whose
-crossings share one sign is read as the permutation braid of its rank
-permutation (this is what the full- and half-turn steps of the standard
-loops produce); a mixed-sign step orders its crossings by their exact times
-under the same infinitesimal turn and reads each run of one sign the same
-way.  Signs and times are decided in exact integer arithmetic on the step's
+the turn of its difference from the first frame to the last.  Every step
+sorts its crossings by their exact times under the same infinitesimal turn,
+each time read as one integer key (its floor at a scale finer than the gap
+between any two distinct times), ties negative first, and reads each maximal
+run of one sign as a permutation braid; a step whose crossings share one
+sign (the full- and half-turn steps of the standard loops) is one run.
+Signs and times are decided in exact integer arithmetic on the step's
 coordinates, written as integers over one power of two, so the only refusal
 is a real collision of two points.  Every computation measures coordinates
 in one power-of-two unit (_unit), so any finite coordinates are read, and
@@ -50,7 +51,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import chain, groupby
 from numbers import Number
 
@@ -65,10 +65,6 @@ class LoopError(ValueError):
 
 class TieError(LoopError):
     """The piecewise-linear loop makes two points collide."""
-
-
-class CoarseFramesError(LoopError):
-    """No longer raised; kept in __all__, which is part of the contract."""
 
 
 class DegenerateSpanError(LoopError):
@@ -127,7 +123,7 @@ def _coordinates(values) -> np.ndarray:
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # numpy's inhomogeneous-shape error
-        raise LoopError(_MALFORMED_FRAMES) from exc
+        raise LoopError("frames must be a rectangular array, not ragged nesting") from exc
     if arr.dtype.kind not in "biufc" and not (
         arr.dtype == object and all(isinstance(v, Number) for v in arr.flat)
     ):
@@ -135,7 +131,7 @@ def _coordinates(values) -> np.ndarray:
     try:
         return arr.astype(complex)
     except OverflowError as exc:
-        raise LoopError(_OVERFLOW) from exc
+        raise LoopError("frames must have coordinates within the float range") from exc
 
 
 def _first_coincident_frame(frames: np.ndarray, unit: float, base: float) -> int | None:
@@ -379,15 +375,14 @@ def _step_letters(E: np.ndarray, F: np.ndarray, rankE: np.ndarray, rankF: np.nda
     (Re, Im) ranks of both frames."""
     # the pairs (p, q) with p before q at E and after it at F
     p, q = np.nonzero((rankE[:, None] < rankE) & (rankF[:, None] > rankF))
-    p, q = p.tolist(), q.tolist()
     # every coordinate as an integer over one power of two
     coords = np.concatenate((E.real, E.imag, F.real, F.imag)).tolist()
     ratios = [x.as_integer_ratio() for x in coords]
     den = max(d for _, d in ratios)
     ints = [n * (den // d) for n, d in ratios]
     xE, yE, xF, yF = (ints[s : s + len(E)] for s in range(0, len(ints), len(E)))
-    signs, times = [], []
-    for u, v in zip(p, q):
+    crossings = []
+    for u, v in zip(p.tolist(), q.tolist()):
         # a + i a' = E[u] - E[v], and b + i b' is how much it changes by F
         a, a1 = xE[u] - xE[v], yE[u] - yE[v]
         b, b1 = xF[u] - xF[v] - a, yF[u] - yF[v] - a1
@@ -398,23 +393,15 @@ def _step_letters(E: np.ndarray, F: np.ndarray, rankE: np.ndarray, rankF: np.nda
                 "two strands meet at a crossing instant; the loop leaves the "
                 "configuration space between frames"
             )
-        signs.append(1 if turn > 0 else -1)
-        times.append((-a, b))
-    crossings = range(len(signs))
-    if len(set(signs)) > 1:
-        # The key difference Re d + eps Im d of a pair vanishes at
-        # tau(eps) = -(a + eps a')/(b + eps b') = tau0 + c eps + O(eps^2), with
-        # tau0 = -a/b and c = (a b' - a' b)/b^2, which has the crossing's sign.
-        # Runs of one sign are read whole, so only crossings of opposite signs
-        # need ordering, and (tau0, sign) is the key.  The pair's order makes
-        # a <= 0 <= a + b, so b > 0 unless the turn is 0, and the times
-        # compare by cross-multiplication.
-        def compare(i: int, j: int) -> int:
-            (ni, di), (nj, dj) = times[i], times[j]
-            x, y = ni * dj, nj * di
-            return (x > y) - (x < y) or signs[i] - signs[j]
-
-        crossings = sorted(crossings, key=cmp_to_key(compare))
+        crossings.append((-a, b, 1 if turn > 0 else -1, u, v))
+    # The key difference Re d + eps Im d of a pair vanishes at
+    # tau(eps) = -(a + eps a')/(b + eps b') = tau0 + c eps + O(eps^2), with
+    # tau0 = -a/b and c = (a b' - a' b)/b^2, which has the crossing's sign, so
+    # (tau0, sign) orders the crossings.  The pair's order makes
+    # 0 <= -a <= b, so b > 0 unless the turn is 0.  With every b below 2^B,
+    # distinct times differ by more than 2^-2B, so floor(tau0 2^2B) is exact.
+    shift = 2 * max(c[1] for c in crossings).bit_length()
+    crossings.sort(key=lambda c: ((c[0] << shift) // c[1], *c[2:]))
     # each maximal run of one sign is a permutation braid: its crossings
     # reverse pairs that cross once, so its permutation fixes it.  It moves
     # only the ranks lo..hi-1 of its strands, and _reduced_word never swaps
@@ -422,13 +409,13 @@ def _step_letters(E: np.ndarray, F: np.ndarray, rankE: np.ndarray, rankF: np.nda
     rank = rankE.tolist()
     at = sorted(range(len(rank)), key=rank.__getitem__)  # the strand at each rank
     letters: list[tuple[int, int]] = []
-    for sign, run in groupby(crossings, key=signs.__getitem__):
-        run = list(run)
-        ends = [rank[s] for i in run for s in (p[i], q[i])]
+    for sign, run in groupby(crossings, key=lambda c: c[2]):
+        pairs = [c[3:] for c in run]
+        ends = [rank[s] for pair in pairs for s in pair]
         lo, hi = min(ends), max(ends) + 1
-        for i in run:
-            rank[p[i]] += 1
-            rank[q[i]] -= 1
+        for u, v in pairs:
+            rank[u] += 1
+            rank[v] -= 1
         letters += [(j + lo, sign) for j in _reduced_word(tuple(rank[s] for s in at[lo:hi]))]
         at[lo:hi] = sorted(at[lo:hi], key=rank.__getitem__)
     return letters

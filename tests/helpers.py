@@ -271,6 +271,7 @@ def reference_pure_word_to_braid(strands: int, letters):
     from confgroups.braids import (
         BraidError,
         BraidWord,
+        PureGeneratorId,
         _check_letter_budget,
         _inverse_letters,
         pure_generator,
@@ -278,6 +279,10 @@ def reference_pure_word_to_braid(strands: int, letters):
 
     out: list[tuple[int, int]] = []
     for gen, sign in letters:
+        if not isinstance(gen, PureGeneratorId):
+            raise BraidError(f"not a pure-braid generator: {gen!r}")
+        if sign not in (1, -1):
+            raise BraidError(f"letter sign must be +1 or -1, got {sign}")
         if gen.strands != strands:
             raise BraidError("pure generator strand count mismatch")
         image = pure_generator(gen).letters
@@ -340,26 +345,27 @@ def reference_word_of(p: tuple[int, ...]) -> list[int]:
     return out
 
 
-# reference combing: one raw factor per letter in a fixed-length list, so
-# every later factor is combed back through the identity factors that
-# cancelled letters leave behind, and every half twist the combing fills is
-# walked through the prefix to the front.  reference_garside_normal_form puts
-# it behind the earlier reversed pass for negative letters; the package's
-# garside_normal_form must agree with that pipeline exactly.  Both comb with
-# the package's pair renormalisation.
+# reference combing: one raw factor per letter, each appended to the combed
+# prefix and combed back until a pair stays put, so every half twist the
+# combing fills is walked through the prefix to the front.  Identity factors,
+# which cancelled letters leave only at the end of a left-weighted prefix, are
+# dropped before the next factor is appended: the left-weighted form of
+# (1, q) is (q, 1), so combing through them only moves them behind it.
+# reference_garside_normal_form puts it behind the earlier reversed pass for
+# negative letters; the package's garside_normal_form must agree with that
+# pipeline exactly.  Both comb with the package's pair renormalisation.
 
 
 def reference_normalise(factors, k):
     from confgroups.braids import _renorm
 
     identity, half_twist = tuple(range(1, k + 1)), tuple(range(k, 0, -1))
-    fs = list(factors)
-    for t in range(len(fs) - 1):
-        p, q = _renorm(fs[t], fs[t + 1])
-        if p == fs[t]:
-            continue
-        fs[t], fs[t + 1] = p, q
-        for j in range(t - 1, -1, -1):
+    fs = []
+    for f in factors:
+        while fs and fs[-1] == identity:
+            fs.pop()
+        fs.append(f)
+        for j in range(len(fs) - 2, -1, -1):
             p, q = _renorm(fs[j], fs[j + 1])
             if p == fs[j]:
                 break
@@ -453,9 +459,13 @@ def _has_real_tie(z: np.ndarray, margin: float) -> bool:
     return bool(np.any(np.diff(np.sort(z.real)) <= margin))
 
 
+class CoarseFramesError(Exception):
+    """The float reader's refusal of simultaneous crossings of opposite sign
+    that it cannot cut into one-sign blocks."""
+
+
 def _reference_block_letters(pi: tuple[int, ...], crossings):
     from confgroups.braids import _reduced_word
-    from confgroups.loops import CoarseFramesError
 
     signs_at: list[set[int]] = [set() for _ in pi]
     for _, (ra, rb), sign in crossings:

@@ -530,10 +530,19 @@ def test_parsers_match_the_per_occurrence_references():
             )
     # a generator of the wrong strand count, first and after repeated good ones
     a12, a14 = PureGeneratorId(1, 2, 3), PureGeneratorId(1, 4, 4)
-    for letters in (((a14, 1),), ((a12, 1), (a12, -1), (a12, 1), (a14, -1), (a14, -1))):
-        assert _outcome(lambda: pure_word_to_braid(3, letters)) == _outcome(
-            lambda: helpers.reference_pure_word_to_braid(3, letters)
-        )
+    cases = [((a14, 1),), ((a12, 1), (a12, -1), (a12, 1), (a14, -1), (a14, -1))]
+    # bad signs and non-generators, first and after repeated good letters, are
+    # refused: sign 0 once read as -1, signs 2 and 1.5 as +1, and ('x', 1)
+    # raised an AttributeError
+    for bad in ((a12, 0), (a12, 2), (a12, 1.5), ("x", 1), ([1, 2], 1), (a12, [1])):
+        cases += [(bad, bad), ((a12, 1), (a12, -1), (a12, 1), bad)]
+    for letters in cases:
+        got = _outcome(lambda: pure_word_to_braid(3, letters))
+        assert got[0] is BraidError
+        assert got == _outcome(lambda: helpers.reference_pure_word_to_braid(3, letters))
+    # numbers equal to a sign read as that sign
+    letters = ((a12, 1.0), (a12, True), (a12, -1))
+    assert pure_word_to_braid(3, letters) == helpers.reference_pure_word_to_braid(3, letters)
 
 
 def test_token_error_texts():

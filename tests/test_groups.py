@@ -158,8 +158,11 @@ def test_descriptor_for_representatives():
     with pytest.raises(GroupError):
         descriptor_for("central_ext_top", 2)
     for p in (2, 0, -1):
-        with pytest.raises(GroupError, match="Sigma_2 is the group of no stratum"):
+        with pytest.raises(GroupError) as info:
             descriptor_for("symmetric", p)
+        assert str(info.value) == (
+            "symmetric needs 1 point or at least 3: Sigma_2 is the group of no stratum"
+        )
     # Sigma_1, the group of one unordered point, is trivial: no relators
     d = descriptor_for("symmetric", 1)
     assert (d.k, d.i, d.n) == (1, 0, 1) and d.describe() == "Σ_1"

@@ -112,10 +112,11 @@ def test_non_numeric_coordinates_are_refused():
 
 
 def test_ragged_and_overflowing_coordinates_are_loop_errors():
-    # the texts loop_from_json_obj gives the same inputs; numpy's own errors escaped
-    overflow = "malformed loop JSON: int too large to convert to float"
+    # numpy's own errors become LoopErrors whose texts name the array, not loop JSON
+    overflow = "frames must have coordinates within the float range"
     cases = [
-        (lambda: ConfigLoop(2, 1, [[[0], [1]], [[0]]]), _MALFORMED),
+        (lambda: ConfigLoop(2, 1, [[[0], [1]], [[0]]]),
+         "frames must be a rectangular array, not ragged nesting"),
         (lambda: ConfigLoop(1, 1, [[[10**400]], [[10**400]]]), overflow),
         (lambda: span_dimension([[0], [10**400]]), overflow),
     ]
@@ -714,15 +715,59 @@ def _differential_loops(seed, count):
     return out
 
 
+def _reflected_loops(seed, count):
+    """Coarse dyadic loops of k = 3..6 points in C whose every step mirrors
+    the real parts about one point, so that all of a step's crossings share
+    the time 1/2 and their signs, set by random imaginary parts, often mix.
+    The real parts walk out and back through the same reflections; the
+    imaginary parts are drawn afresh at every frame but the last."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        k, steps = int(rng.integers(3, 7)), int(rng.integers(1, 4))
+        xs = [rng.integers(-4, 5, size=k)]
+        for _ in range(steps):
+            xs.append(rng.integers(-2, 3) - xs[-1])
+        xs += xs[-2::-1]
+        z = np.array(xs) + 1j * rng.integers(-2, 3, size=(len(xs), k)) / 2
+        z *= 2.0 ** -int(rng.integers(0, 4))
+        z[-1] = z[0]
+        try:
+            out.append(ConfigLoop(k, 1, z[:, :, None]))
+        except LoopError:
+            continue
+    return out
+
+
+def _close_times_loop(bits):
+    """Two disjoint pairs cross in each step, with real-part changes
+    b = M = 2^bits - 1, the step's largest, and b = M - 2.  On the way out
+    they cross at (h-2)/(M-2) and (h-1)/M, with h = 2^(bits-1): times
+    1/(M(M-2)) apart, just above 2^-2bits, whose floors at the scale
+    2^-(2bits-1) are equal.  The earlier crossing is positive both ways, so
+    the sign order of a tie would swap them."""
+    h = 2 ** (bits - 1)
+    e = [1j, h - 1, 4 * h, 5 * h - 2 + 1j]
+    f = [h + 1j, 0, 5 * h - 1, 4 * h + 1j]
+    return _loop_from_points(4, 1, [[[x / h] for x in frame] for frame in (e, f, e)])
+
+
 def test_integer_reader_matches_the_float_filter_reader():
     # every crossing decided in integers gives the words and the collisions
-    # of the reader that decided them in floats under rounding bounds
+    # of the reader that decided them in floats under rounding bounds, also
+    # where crossings of opposite sign share a time or nearly do
     kinds = set()
-    for loop in _differential_loops(17, 3000):
+    cases = _differential_loops(17, 3000) + _reflected_loops(19, 1000)
+    for loop in cases:
         got = _outcome(extract_braid, loop)
         assert got == _outcome(helpers.reference_filtered_extract_braid, loop)
         kinds.add(type(got).__name__ if isinstance(got, BraidWord) else got[0].__name__)
     assert kinds == {"BraidWord", "TieError"}
+    for bits in (4, 8, 20, 40, 50):
+        loop = _close_times_loop(bits)
+        got = extract_braid(loop)
+        assert got == helpers.reference_filtered_extract_braid(loop)
+        assert got.letters == ((3, 1), (1, -1), (1, 1), (3, -1))
 
 
 def test_import_loads_no_rational_arithmetic():
