@@ -112,7 +112,11 @@ class BraidWord:
             distinct = dict.fromkeys(self.letters)
         except TypeError:  # an unhashable letter, such as a list
             distinct = self.letters
-        for i, s in distinct:
+        for letter in distinct:
+            try:
+                i, s = letter
+            except (TypeError, ValueError):
+                raise BraidError(f"letter {letter!r} is not an (index, sign) pair") from None
             if not 1 <= i <= self.strands - 1:
                 raise BraidError(f"generator index {i} out of range for {self.strands} strands")
             if s not in (1, -1):
@@ -424,7 +428,11 @@ def pure_word_to_braid(strands: int, letters) -> BraidWord:
     into the corresponding braid word."""
     out: list[tuple[int, int]] = []
     images: dict = {}  # (generator, sign) -> its signed image, for this call
-    for gen, sign in letters:
+    for letter in letters:
+        try:
+            gen, sign = letter
+        except (TypeError, ValueError):
+            raise BraidError(f"letter {letter!r} is not a (pure-braid generator, sign) pair") from None
         try:
             image = images.get((gen, sign))
         except TypeError:  # an unhashable generator or sign, refused below

@@ -14,13 +14,19 @@ Coset tables have one column per letter, generator t at 2t and its inverse at
 rejects any letter but (generator, +1 or -1).  A Presentation encodes its
 relators once, when it is built, as ``_rel_cols``, which the relator matrix,
 the enumeration and the closing check read.  Coset enumeration is plain HLT
-(scan-and-fill every relator from every live coset in creation order).  Only
-the coincidence queue sees merged cosets: it moves a dead coset's edges to its
-union-find representative, so every other reader takes live rows as they
-stand.  Hitting the coset cap is a normal outcome reported in the table
+(scan-and-fill every relator from every live coset in creation order).  Each
+relator is first walked from the coset in a plain loop that writes nothing and
+stops at a gap; a walk that closes would have scanned without writing, so only
+a walk that meets a gap or ends at another coset goes to scan-and-fill, from
+the start, and the definitions, coincidences and coset numbers are HLT's.
+Only the coincidence queue sees merged cosets: it moves a dead coset's edges
+to its union-find representative, so every other reader takes live rows as
+they stand.  Hitting the coset cap is a normal outcome reported in the table
 status, not an error.  A complete table is returned only after a closing check
-walks its rows: every entry is a coset index, column c^1 inverts column c,
-every relator closes from every coset, the subgroup words fix coset 0.
+of the table: it holds coset 0, every entry is a coset index, column c^1
+inverts column c, every relator closes from every coset, the subgroup words
+fix coset 0.  The check transposes the rows once and walks every coset at once
+by composing columns with operator.itemgetter.
 Smith normal form first eliminates unit entries on sparse rows (Tietze
 elimination of a generator, each an invariant factor 1), then runs one
 re-pivoting loop over what is left, in unbounded Python integers: the
@@ -33,6 +39,7 @@ from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .braids import _MAX_LETTERS, _delta_letters, pure_generator_order
@@ -311,26 +318,35 @@ class CosetTable:
         return self.table[x]
 
     def verify(self) -> bool:
-        """Full consistency check: every row holds one coset index per column,
-        column c^1 inverts column c, every relator scans to closure from
-        every coset, and the subgroup words fix coset 0."""
+        """Full consistency check: the table holds coset 0, every row holds
+        one coset index per column, column c^1 inverts column c, every
+        relator scans to closure from every coset, and the subgroup words fix
+        coset 0."""
         rows = self.table
-        cosets = list(range(self.num_cosets))
+        cosets = tuple(range(self.num_cosets))
         width = 2 * len(self.presentation.generators)
         if (
             self.status != "complete"
+            or not rows
             or any(len(row) != width for row in rows)
             or not {int}.issuperset(map(type, chain.from_iterable(rows)))
             or not set(cosets).issuperset(chain.from_iterable(rows))
-            or any([rows[rows[x][c]][c ^ 1] for x in cosets] != cosets for c in range(width))
         ):
             return False
-        for cols in self.presentation._rel_cols:
-            ends = cosets  # walk every coset at once, one column per letter
-            for c in cols:
-                ends = [rows[x][c] for x in ends]
-            if ends != cosets:
+        if len(rows) > 1:  # in one row every entry is 0, and every walk closes
+            # step[c](ends) is x -> ends[column c at x]: composing the columns
+            # of a word from its last letter walks it from every coset at once
+            # (itemgetter of one index would return a scalar, not a tuple)
+            columns = list(zip(*rows))
+            step = [itemgetter(*column) for column in columns]
+            if any(step[c](columns[c ^ 1]) != cosets for c in range(width)):
                 return False
+            for cols in self.presentation._rel_cols:
+                ends = cosets
+                for c in reversed(cols):
+                    ends = step[c](ends)
+                if ends != cosets:
+                    return False
         return all(self.trace(w) == 0 for w in self.subgroup)
 
 
@@ -414,11 +430,13 @@ def todd_coxeter(
         f = b = start
         fi, bi = 0, len(word_cols)
         while True:
-            while fi < bi and tab[f][word_cols[fi]] is not None:
-                f = tab[f][word_cols[fi]]
+            row = tab[f]
+            while fi < bi and (x := row[word_cols[fi]]) is not None:
+                f, row = x, tab[x]
                 fi += 1
-            while bi > fi and tab[b][word_cols[bi - 1] ^ 1] is not None:
-                b = tab[b][word_cols[bi - 1] ^ 1]
+            row = tab[b]
+            while bi > fi and (x := row[word_cols[bi - 1] ^ 1]) is not None:
+                b, row = x, tab[x]
                 bi -= 1
             if fi == bi:
                 if f != b:
@@ -440,6 +458,13 @@ def todd_coxeter(
         while i < len(tab):
             if parent[i] == i:
                 for rel in p._rel_cols:
+                    f = i  # a walk that closes would scan without writing: skip it
+                    for c in rel:
+                        f = tab[f][c]
+                        if f is None:
+                            break
+                    if f == i:
+                        continue
                     if not scan_and_fill(rel, i):
                         return False
                     if parent[i] != i:
@@ -457,7 +482,11 @@ def todd_coxeter(
         parent[x] = t  # live rows name only live cosets, renumbered here
     rows = []
     for x in live:
-        rows.append(tuple(None if e is None else parent[e] for e in tab[x]))
+        row = tab[x]
+        if None in row:
+            rows.append(tuple(None if e is None else parent[e] for e in row))
+        else:
+            rows.append(tuple(map(parent.__getitem__, row)))
         tab[x] = None  # so the table and its copy are not both held
     result = CosetTable(p, tuple(subgroup), "capped" if capped else "complete", tuple(rows))
     if not capped and not result.verify():

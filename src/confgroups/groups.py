@@ -208,7 +208,7 @@ def _require_pure_word(d: GroupDescriptor, w: object) -> BraidWord:
         for gen, sign in letters:
             if not isinstance(gen, PureGeneratorId) or sign not in (1, -1):
                 raise TypeError
-    except TypeError:
+    except (TypeError, ValueError):  # a letter that is not a pair fails to unpack
         raise AlphabetError(f"{d.tag} expects (PureGeneratorId, sign) letters") from None
     return pure_word_to_braid(d.parameter, letters)
 

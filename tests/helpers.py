@@ -278,7 +278,11 @@ def reference_pure_word_to_braid(strands: int, letters):
     )
 
     out: list[tuple[int, int]] = []
-    for gen, sign in letters:
+    for letter in letters:
+        try:
+            gen, sign = letter
+        except (TypeError, ValueError):
+            raise BraidError(f"letter {letter!r} is not a (pure-braid generator, sign) pair") from None
         if not isinstance(gen, PureGeneratorId):
             raise BraidError(f"not a pure-braid generator: {gen!r}")
         if sign not in (1, -1):
@@ -295,7 +299,11 @@ def reference_check_letters(strands: int, letters) -> None:
     """BraidWord's letter check, one letter after another."""
     from confgroups.braids import BraidError
 
-    for i, s in letters:
+    for letter in letters:
+        try:
+            i, s = letter
+        except (TypeError, ValueError):
+            raise BraidError(f"letter {letter!r} is not an (index, sign) pair") from None
         if not 1 <= i <= strands - 1:
             raise BraidError(f"generator index {i} out of range for {strands} strands")
         if s not in (1, -1):
@@ -624,11 +632,18 @@ def reference_trace(table, word, start: int = 0):
 
 
 def reference_verify(table) -> bool:
-    if table.status != "complete":
+    n, gens = table.num_cosets, table.presentation.generators
+    if table.status != "complete" or n == 0:  # every coset table holds coset 0
         return False
-    if any(entry is None for row in table.table for entry in row):
-        return False
-    for c in range(table.num_cosets):
+    for row in table.table:
+        if len(row) != 2 * len(gens) or any(type(e) is not int or not 0 <= e < n for e in row):
+            return False
+    for x in range(n):
+        for name in gens:
+            for sign in (1, -1):
+                if reference_trace(table, ((name, sign), (name, -sign)), x) != x:
+                    return False
+    for c in range(n):
         for rel in table.presentation.relators:
             if reference_trace(table, rel, c) != c:
                 return False

@@ -49,6 +49,10 @@ def test_letter_validation():
         BraidWord(3, ((1, 2),))
     with pytest.raises(BraidError):
         BraidWord(0)
+    # a letter that is not a pair is refused as a letter, not by unpacking
+    for letter in ((1, 1, 0), (1,), 5, None):
+        with pytest.raises(BraidError, match=r"is not an \(index, sign\) pair"):
+            BraidWord(3, ((1, 1), letter))
 
 
 def _outcome(call):
@@ -83,7 +87,7 @@ def test_braid_word_rejects_what_the_per_letter_check_rejects():
     for letters in refused:
         got = _outcome(lambda: _check_letters(letters))
         assert got == _outcome(lambda: helpers.reference_check_letters(3, letters))
-        assert got[0] is (ValueError if len(letters[-1]) == 3 else BraidError)
+        assert got[0] is BraidError
     assert _outcome(lambda: _check_letters(((3.0, 1), (3, 1)))) == (
         BraidError,
         "generator index 3.0 out of range for 3 strands",
@@ -533,8 +537,9 @@ def test_parsers_match_the_per_occurrence_references():
     cases = [((a14, 1),), ((a12, 1), (a12, -1), (a12, 1), (a14, -1), (a14, -1))]
     # bad signs and non-generators, first and after repeated good letters, are
     # refused: sign 0 once read as -1, signs 2 and 1.5 as +1, and ('x', 1)
-    # raised an AttributeError
-    for bad in ((a12, 0), (a12, 2), (a12, 1.5), ("x", 1), ([1, 2], 1), (a12, [1])):
+    # raised an AttributeError; so are letters that are not pairs
+    for bad in ((a12, 0), (a12, 2), (a12, 1.5), ("x", 1), ([1, 2], 1), (a12, [1]),
+                a12, (a12,), (a12, 1, 0)):
         cases += [(bad, bad), ((a12, 1), (a12, -1), (a12, 1), bad)]
     for letters in cases:
         got = _outcome(lambda: pure_word_to_braid(3, letters))

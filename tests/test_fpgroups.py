@@ -395,13 +395,25 @@ def _enumerated_tables(enumerate_cosets=todd_coxeter):
         tables.append(enumerate_cosets(p, sub, max_cosets=rng.choice((5, 50, 500))))
     # index 1; a coset dies while its own relators are scanned
     tables.append(enumerate_cosets(parse_presentation("gens: a, b ; rels: B A b, b a")))
+    # <T^2> in the top group on 5 points, index 2 * 5! = 240, and Coxeter's
+    # S_5 with its generators and relators out of order, index 120
+    s1 = ("s1", 1)
+    tables.append(enumerate_cosets(builtin_presentation("unordered_top", 5), ((s1,) * 4,)))
+    tables.append(enumerate_cosets(parse_presentation(_COXETER_S5)))
     return tables
+
+
+_COXETER_S5 = (
+    "gens: q3, q1, q4, q2 ; rels: q2 q3 q2 q3 q2 q3, q1 q1, q1 q4 q1 q4, q4 q4, "
+    "q3 q4 q3 q4 q3 q4, q1 q2 q1 q2 q1 q2, q2 q2, q3 q3, q1 q3 q1 q3, q2 q4 q2 q4"
+)
 
 
 def test_closing_check_agrees_with_reference_on_enumerated_tables():
     tables = _enumerated_tables()
     statuses = {t.status for t in tables}
     assert statuses == {"complete", "capped"}
+    assert [t.num_cosets for t in tables[-2:]] == [240, 120]
     for table in tables:
         assert table.verify() == helpers.reference_verify(table)
         assert table.verify() == (table.status == "complete")
@@ -433,6 +445,38 @@ def test_closing_check_agrees_with_reference_on_corrupted_tables():
         for bad in corrupted:
             assert not helpers.reference_verify(bad)
             assert not bad.verify()
+
+
+def test_closing_check_agrees_with_reference_on_edge_tables():
+    a = (("a", 1),)
+    free, square, bare = Presentation(("a",), ()), Presentation(("a",), (a * 2,)), Presentation((), ())
+    edges = {
+        # no rows: every coset table holds coset 0, with or without subgroup words
+        (free, (), ()): False,
+        (free, (a,), ()): False,
+        (bare, (), ()): False,
+        # one row, where every entry must be 0
+        (free, (), ((0, 0),)): True,
+        (square, (a, a * 3), ((0, 0),)): True,
+        (free, (), ((0, 1),)): False,
+        # zero generators: rows without entries
+        (bare, (), ((),)): True,
+        (bare, ((),), ((), ())): True,
+        # an entry past the last coset, a short row, columns that do not
+        # invert each other, and a 3-cycle where a^2 must close
+        (free, (), ((5, 5),)): False,
+        (free, (), ((0,),)): False,
+        (free, (), ((1, 0), (0, 1))): False,
+        (square, (), ((1, 2), (2, 0), (0, 1))): False,
+        (free, (), ((1, 2), (2, 0), (0, 1))): True,
+        # a True where an index belongs
+        (free, (), ((True, 0),)): False,
+    }
+    for (p, sub, rows), expected in edges.items():
+        table = CosetTable(p, sub, "complete", rows)
+        assert table.verify() is expected
+        assert helpers.reference_verify(table) is expected
+        assert dataclasses.replace(table, status="capped").verify() is False
 
 
 def test_todd_coxeter_raises_when_closing_check_fails(monkeypatch):

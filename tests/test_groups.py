@@ -12,6 +12,7 @@ from confgroups.braids import (
     BraidError,
     BraidWord,
     Permutation,
+    PureGeneratorId,
     delta_word,
     equal_in_braid,
     exponent_sum,
@@ -267,6 +268,11 @@ def test_alphabet_errors():
         element_from_word(descriptor_for("integers"), parse_word("s1", 3))
     with pytest.raises(AlphabetError):
         equal_in_group(descriptor_for("integers"), 1, parse_word("s1", 3))
+    # a letter that is not a (PureGeneratorId, sign) pair
+    a = PureGeneratorId(1, 2, 3)
+    for letter in ((a, 1, 0), (a,), a):
+        with pytest.raises(AlphabetError, match=r"expects \(PureGeneratorId, sign\) letters"):
+            equal_in_group(descriptor_for("pure_braid", 3), [letter], [])
     with pytest.raises(AlphabetError, match="bad exponent in token 'h\\^x'"):
         groups._parse_integer_word("h^x")
     assert groups._parse_integer_word("h^3 H h^-1") == 1
