@@ -108,15 +108,15 @@ class BraidWord:
                 f"{self.strands} strands: the half twist would have more than "
                 f"{_MAX_LETTERS} letters"
             )
-        try:  # a word repeats few distinct letters: check each once, in order
-            distinct = dict.fromkeys(self.letters)
-        except TypeError:  # an unhashable letter, such as a list
-            distinct = self.letters
-        for letter in distinct:
+        # a word repeats few letter objects: check each once, in order.  Not
+        # once per distinct value: (1.0, 1) and (True, 1) equal (1, 1)
+        for letter in {id(letter): letter for letter in self.letters}.values():
             try:
                 i, s = letter
             except (TypeError, ValueError):
                 raise BraidError(f"letter {letter!r} is not an (index, sign) pair") from None
+            if type(i) is not int or type(s) is not int:  # not bool, float or numpy ints
+                raise BraidError(f"letter {letter!r} is not a pair of ints")
             if not 1 <= i <= self.strands - 1:
                 raise BraidError(f"generator index {i} out of range for {self.strands} strands")
             if s not in (1, -1):

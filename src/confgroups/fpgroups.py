@@ -6,14 +6,16 @@ stored fully expanded so scanning is a plain walk.  Text syntax:
 inverse letter, relators are comma-separated.
 
 Each builtin presentation is one row of ``_BUILTINS``: its alphabet (Artin
-``s{i}`` or pure ``a{i}_{j}``, each with its own relators), the relators it
-adds to the alphabet's, and their letter count in closed form.
+``s{i}`` or pure ``a{i}_{j}``, each with its letter table and own relators),
+the relators it adds, and their letter count in closed form.  Each call makes
+the letter table once; every relator is one flat tuple of its shared letters.
 
 Coset tables have one column per letter, generator t at 2t and its inverse at
 2t+1 (so ``c ^ 1`` is the inverse column); ``_columns`` is the one encoder and
 rejects any letter but (generator, +1 or -1).  A Presentation encodes its
-relators once, when it is built, as ``_rel_cols``, which the relator matrix,
-the enumeration and the closing check read.  Coset enumeration is plain HLT
+relators once, when it is built, as ``_rel_cols``, which the relator matrix
+(its rows whose exponent sums cancel are one shared zero row), the enumeration
+and the closing check read.  Coset enumeration is plain HLT
 (scan-and-fill every relator from every live coset in creation order).  Each
 relator is first walked from the coset in a plain loop that writes nothing and
 stops at a gap; a walk that closes would have scanned without writing, so only
@@ -146,78 +148,71 @@ def format_presentation(p: Presentation) -> str:
 # built-in presentations
 
 
-def _artin_relators(k: int) -> Iterator[Word]:
+def _artin_relators(k: int, pos: dict, neg: dict) -> Iterator[Word]:
     for x in range(1, k):
+        a, A = pos[x], neg[x]
         for y in range(x + 1, k):
-            a, b = f"s{x}", f"s{y}"
-            if y - x >= 2:
-                yield commutator_word(((a, 1),), ((b, 1),))
-            else:
-                yield ((a, 1), (b, 1), (a, 1), (b, -1), (a, -1), (b, -1))
+            b, B = pos[y], neg[y]
+            yield (a, b, A, B) if y - x >= 2 else (a, b, a, B, A, B)
 
 
-def _yang_baxter_relators(k: int) -> Iterator[Word]:
-    def gen(i: int, j: int) -> Word:
-        return ((f"a{i}_{j}", 1),)
-
-    # triple relators: the three cyclic products a_ij a_ik a_jk agree
+def _yang_baxter_relators(k: int, pos: dict, neg: dict) -> list[Word]:
+    """Every triple relator (the three cyclic products a_ij a_ik a_jk agree),
+    then for each i < j < kk < l the commutators [a_kl, a_ij], [a_il, a_jk],
+    [a_jl, a_jk^-1 a_ik a_jk] and [a_jl, a_kl a_ik a_kl^-1]."""
+    triples, quadruples = [], []
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
+            ij, IJ = pos[i, j], neg[i, j]
             for kk in range(j + 1, k + 1):
-                p1 = gen(i, j) + gen(i, kk) + gen(j, kk)
-                p2 = gen(i, kk) + gen(j, kk) + gen(i, j)
-                p3 = gen(j, kk) + gen(i, j) + gen(i, kk)
-                yield p1 + inverse_word(p2)
-                yield p2 + inverse_word(p3)
-    # quadruple relators: four commutators per i < j < kk < l
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for kk in range(j + 1, k + 1):
+                ik, jk, IK, JK = pos[i, kk], pos[j, kk], neg[i, kk], neg[j, kk]
+                triples += (ij, ik, jk, IJ, JK, IK), (ik, jk, ij, IK, IJ, JK)
                 for l in range(kk + 1, k + 1):
-                    a_kl, a_ij = gen(kk, l), gen(i, j)
-                    a_il, a_jk = gen(i, l), gen(j, kk)
-                    a_jl = gen(j, l)
-                    a_ik = gen(i, kk)
-                    yield commutator_word(a_kl, a_ij)
-                    yield commutator_word(a_il, a_jk)
-                    yield commutator_word(a_jl, inverse_word(a_jk) + a_ik + a_jk)
-                    yield commutator_word(a_jl, a_kl + a_ik + inverse_word(a_kl))
+                    il, jl, kl = pos[i, l], pos[j, l], pos[kk, l]
+                    IL, JL, KL = neg[i, l], neg[j, l], neg[kk, l]
+                    quadruples += (
+                        (kl, ij, KL, IJ), (il, jk, IL, JK),
+                        (jl, JK, ik, jk, JL, JK, IK, jk), (jl, kl, ik, KL, JL, kl, IK, KL),
+                    )
+    return triples + quadruples
 
 
-# An alphabet: its generator names at size k, its own relators, and their
-# letter count in closed form, 4 letters per commuting pair and 6 per braid
-# relation of the Artin relators, 12 per triple and 24 per quadruple of the
-# Yang-Baxter relators.  The pure generators come in the full twist's order.
+# An alphabet: its generators at size k as their letters (name, +1), keyed by
+# index (i for s_i, (i, j) for a{i}_{j}) in generator order, the pure ones in
+# the full twist's order; its own relators; and their letter count in closed
+# form, 4 letters per commuting pair and 6 per braid relation of the Artin
+# relators, 12 per triple and 24 per quadruple of the Yang-Baxter relators.
 _Alphabet = namedtuple("_Alphabet", "generators relators letters")
-_ARTIN = _Alphabet(lambda k: tuple(f"s{i}" for i in range(1, k)),
+_ARTIN = _Alphabet(lambda k: {i: (f"s{i}", 1) for i in range(1, k)},
                    _artin_relators, lambda k: 4 * comb(k - 1, 2) + 2 * (k - 2))
-_PURE = _Alphabet(lambda k: tuple(f"a{g.i}_{g.j}" for g in pure_generator_order(k)),
+_PURE = _Alphabet(lambda k: {(g.i, g.j): (f"a{g.i}_{g.j}", 1) for g in pure_generator_order(k)},
                   _yang_baxter_relators, lambda k: 12 * comb(k, 3) + 24 * comb(k, 4))
 
 
 @dataclass(frozen=True)
 class _Builtin:
     alphabet: _Alphabet
-    relators: Callable[[int], Iterable[Word]] = lambda k: ()  # added to the alphabet's own
+    relators: Callable[[int, dict, dict], Iterable[Word]] = lambda k, pos, neg: ()  # added
     letters: Callable[[int], int] = lambda k: 0  # of the added relators, in closed form
 
 
 _BUILTINS = {
     "artin": _Builtin(_ARTIN),
     "braid_mod_delta_sq": _Builtin(  # the half twist, twice
-        _ARTIN, lambda k: [2 * tuple((f"s{i}", 1) for i, _ in _delta_letters(k))],
+        _ARTIN, lambda k, pos, neg: [2 * tuple(pos[i] for i, _ in _delta_letters(k))],
         lambda k: k * (k - 1),
     ),
     "unordered_top": _Builtin(  # s_i^2 = s_(i+1)^2
-        _ARTIN, lambda k: (((f"s{i}", 1),) * 2 + ((f"s{i + 1}", -1),) * 2 for i in range(1, k - 1)),
+        _ARTIN,
+        lambda k, pos, neg: ((pos[i], pos[i], neg[i + 1], neg[i + 1]) for i in range(1, k - 1)),
         lambda k: 4 * (k - 2),
     ),
     "symmetric": _Builtin(  # s_i^2 = 1
-        _ARTIN, lambda k: (((f"s{i}", 1),) * 2 for i in range(1, k)), lambda k: 2 * (k - 1)
+        _ARTIN, lambda k, pos, neg: ((pos[i], pos[i]) for i in range(1, k)), lambda k: 2 * (k - 1)
     ),
     "pure_braid": _Builtin(_PURE),
     "pure_braid_mod_D": _Builtin(  # the full twist
-        _PURE, lambda k: [tuple((g, 1) for g in _PURE.generators(k))], lambda k: comb(k, 2)
+        _PURE, lambda k, pos, neg: [tuple(pos.values())], lambda k: comb(k, 2)
     ),
 }
 
@@ -238,7 +233,10 @@ def builtin_presentation(name: str, size: int) -> Presentation:
     alphabet = row.alphabet
     if alphabet.letters(size) + row.letters(size) > _MAX_LETTERS:
         raise PresentationError(f"{name}:{size} has over {_MAX_LETTERS} relator letters")
-    return Presentation(alphabet.generators(size), (*alphabet.relators(size), *row.relators(size)))
+    pos = alphabet.generators(size)
+    neg = {key: (g, -1) for key, (g, _) in pos.items()}  # every relator spells from pos and neg
+    relators = (*alphabet.relators(size, pos, neg), *row.relators(size, pos, neg))
+    return Presentation(tuple(g for g, _ in pos.values()), relators)
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +607,16 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[int, ...]:
 
 
 def relator_matrix(p: Presentation) -> IntegerMatrix:
-    """Exponent-sum matrix: one row per relator, one column per generator."""
-    rows = []
+    """Exponent-sum matrix: one row per relator, one column per generator;
+    the relators whose exponent sums all cancel share one zero row."""
+    g = len(p.generators)
+    rows, zero = [], (0,) * g
     for cols in p._rel_cols:
-        row = [0] * len(p.generators)
+        row = [0] * g
         for c in cols:
             row[c >> 1] += -1 if c & 1 else 1
-        rows.append(row)
-    return IntegerMatrix.from_rows(rows, cols=len(p.generators))
+        rows.append(tuple(row) if any(row) else zero)
+    return IntegerMatrix(len(rows), g, tuple(rows))
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:

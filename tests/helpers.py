@@ -17,7 +17,10 @@ four earlier package paths as references for their replacements:
 word-problem equality by one normal form of u v^-1, the three-phase Smith
 normal form, the Todd-Coxeter enumerator whose table readers resolved merged
 cosets with find, and the braid reader that decided crossings in floats
-under rounding bounds, with Fractions behind them.
+under rounding bounds, with Fractions behind them.  The builtin relator
+generators that spelled every letter afresh, and an exponent-sum matrix read
+by generator name, are the references for the shared-letter relators and the
+column-encoded relator matrix.
 """
 
 from __future__ import annotations
@@ -304,6 +307,8 @@ def reference_check_letters(strands: int, letters) -> None:
             i, s = letter
         except (TypeError, ValueError):
             raise BraidError(f"letter {letter!r} is not an (index, sign) pair") from None
+        if type(i) is not int or type(s) is not int:
+            raise BraidError(f"letter {letter!r} is not a pair of ints")
         if not 1 <= i <= strands - 1:
             raise BraidError(f"generator index {i} out of range for {strands} strands")
         if s not in (1, -1):
@@ -977,3 +982,84 @@ def reference_filtered_extract_braid(loop: ConfigLoop) -> BraidWord:
         rankE, rankF = np.argsort(order[t : t + 2], axis=1)
         letters += _filtered_step_letters(zf[t], zf[t + 1], rankE, rankF)
     return BraidWord(loop.k, tuple(letters))
+
+
+# ---------------------------------------------------------------------------
+# the builtin relator generators as they were when every letter was a fresh
+# tuple: each relator is spelled through gen(), inverse_word and
+# commutator_word, and the matrix is summed straight from the words by
+# generator name.  The package builds each alphabet's letters once and spells
+# every relator as one flat tuple of them; relators (in order) and matrix
+# entries must agree exactly.
+
+
+def _reference_artin_relators(k: int):
+    from confgroups.fpgroups import commutator_word
+
+    for x in range(1, k):
+        for y in range(x + 1, k):
+            a, b = f"s{x}", f"s{y}"
+            if y - x >= 2:
+                yield commutator_word(((a, 1),), ((b, 1),))
+            else:
+                yield ((a, 1), (b, 1), (a, 1), (b, -1), (a, -1), (b, -1))
+
+
+def _reference_yang_baxter_relators(k: int):
+    from confgroups.fpgroups import commutator_word, inverse_word
+
+    def gen(i: int, j: int):
+        return ((f"a{i}_{j}", 1),)
+
+    # triple relators: the three cyclic products a_ij a_ik a_jk agree
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            for kk in range(j + 1, k + 1):
+                p1 = gen(i, j) + gen(i, kk) + gen(j, kk)
+                p2 = gen(i, kk) + gen(j, kk) + gen(i, j)
+                p3 = gen(j, kk) + gen(i, j) + gen(i, kk)
+                yield p1 + inverse_word(p2)
+                yield p2 + inverse_word(p3)
+    # quadruple relators: four commutators per i < j < kk < l
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            for kk in range(j + 1, k + 1):
+                for l in range(kk + 1, k + 1):
+                    a_kl, a_ij = gen(kk, l), gen(i, j)
+                    a_il, a_jk = gen(i, l), gen(j, kk)
+                    a_jl = gen(j, l)
+                    a_ik = gen(i, kk)
+                    yield commutator_word(a_kl, a_ij)
+                    yield commutator_word(a_il, a_jk)
+                    yield commutator_word(a_jl, inverse_word(a_jk) + a_ik + a_jk)
+                    yield commutator_word(a_jl, a_kl + a_ik + inverse_word(a_kl))
+
+
+def reference_builtin_relators(name: str, k: int) -> tuple:
+    """The relators of builtin_presentation(name, k), in order."""
+    from confgroups.braids import _delta_letters, pure_generator_order
+
+    pure_generators = tuple(f"a{g.i}_{g.j}" for g in pure_generator_order(k))
+    added = {
+        "artin": lambda k: (),
+        "braid_mod_delta_sq": lambda k: [2 * tuple((f"s{i}", 1) for i, _ in _delta_letters(k))],
+        "unordered_top": lambda k: (
+            ((f"s{i}", 1),) * 2 + ((f"s{i + 1}", -1),) * 2 for i in range(1, k - 1)
+        ),
+        "symmetric": lambda k: (((f"s{i}", 1),) * 2 for i in range(1, k)),
+        "pure_braid": lambda k: (),
+        "pure_braid_mod_D": lambda k: [tuple((g, 1) for g in pure_generators)],
+    }[name]
+    own = _reference_yang_baxter_relators if name.startswith("pure") else _reference_artin_relators
+    return (*own(k), *added(k))
+
+
+def reference_relator_matrix(p) -> tuple[tuple[int, ...], ...]:
+    """Exponent sums of each relator of p, one entry per generator, in order."""
+    rows = []
+    for rel in p.relators:
+        sums = dict.fromkeys(p.generators, 0)
+        for name, sign in rel:
+            sums[name] += sign
+        rows.append(tuple(sums.values()))
+    return tuple(rows)

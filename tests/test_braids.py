@@ -90,19 +90,22 @@ def test_braid_word_rejects_what_the_per_letter_check_rejects():
         assert got[0] is BraidError
     assert _outcome(lambda: _check_letters(((3.0, 1), (3, 1)))) == (
         BraidError,
-        "generator index 3.0 out of range for 3 strands",
+        "letter (3.0, 1) is not a pair of ints",
     )
-    assert _outcome(lambda: _check_letters(((1, True), (1, False)))) == (
+    # a letter equal to an earlier one but of another type is still refused
+    assert _outcome(lambda: _check_letters(((1, 1), (2, -1), (1, True), (1, False)))) == (
         BraidError,
-        "letter sign must be +1 or -1, got False",
+        "letter (1, True) is not a pair of ints",
     )
+    for letters in (((1, 1), (1.0, 1)), ((2, -1), (2, -1.0)), ((1, -1), (np.int64(1), -1))):
+        assert _outcome(lambda: _check_letters(letters)) == (
+            BraidError,
+            f"letter {letters[1]!r} is not a pair of ints",
+        )
     accepted = [
-        ((np.int64(1), np.int64(-1)),),
-        ((True, True),),
-        ((1.5, 1),),
+        ((1, -1),),
         ([1, 1], [2, -1], [1, 1]),
-        ((1, 1), (1.0, 1), (True, 1), (np.int64(1), 1)),
-        (np.array([2, -1]),),
+        ((1, 1), [1, 1], (2, -1), (1, 1)),
     ]
     for letters in accepted:
         helpers.reference_check_letters(3, letters)
@@ -116,6 +119,17 @@ def test_braid_word_rejects_what_the_per_letter_check_rejects():
         assert _outcome(lambda: _check_letters(letters)) == _outcome(
             lambda: helpers.reference_check_letters(3, letters)
         )
+
+
+def test_letters_of_other_types_are_refused():
+    # a string, None or complex index once escaped as a bare TypeError; an
+    # index or sign of 1.0 made garside_normal_form raise one, and an index of
+    # True printed as sTrue
+    for letter in (("a", 1), (None, 1), (1j, 1), (1 + 0j, 1), (1.0, 1), (1.5, 1), (1, 1.0),
+                   (True, 1), (1, True), (np.int64(1), 1), (1, np.int64(-1)), np.array([2, -1])):
+        for letters in ((letter,), ((1, 1), letter)):
+            with pytest.raises(BraidError, match="is not a pair of ints"):
+                BraidWord(3, letters)
 
 
 def test_multiply_is_concatenation():

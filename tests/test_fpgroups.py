@@ -155,6 +155,18 @@ def test_relator_letter_counts_are_the_generated_totals():
             builtin_presentation(name, k + 1)
 
 
+def test_builtin_relators_and_matrices_match_the_references():
+    # relators in order, and exponent sums read from the words by generator name
+    for name in fpgroups._BUILTINS:
+        for k in range(2, 13):
+            p = builtin_presentation(name, k)
+            assert p.relators == helpers.reference_builtin_relators(name, k), (name, k)
+            m = relator_matrix(p)
+            assert m.entries == helpers.reference_relator_matrix(p), (name, k)
+            # every relator whose sums cancel holds the one zero row
+            assert len({id(row) for row in m.entries if not any(row)}) <= 1, (name, k)
+
+
 def test_oversized_presentation_is_refused_before_generation(monkeypatch):
     def fail(k):
         raise AssertionError("generators or relators made for an oversized request")
