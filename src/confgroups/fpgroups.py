@@ -29,10 +29,11 @@ of the table: it holds coset 0, every entry is a coset index, column c^1
 inverts column c, every relator closes from every coset, the subgroup words
 fix coset 0.  The check transposes the rows once and walks every coset at once
 by composing columns with operator.itemgetter.
-Smith normal form first eliminates unit entries on sparse rows (Tietze
-elimination of a generator, each an invariant factor 1), then runs one
-re-pivoting loop over what is left, in unbounded Python integers: the
-invariant factors are unique, so any pivot order gives the same answer.
+Smith normal form is one re-pivoting loop over the nonzero rows held as
+{column: entry}, in unbounded Python integers.  Its pick, least |value| on a
+shortest row, takes the units of a sparse relator matrix first (Tietze
+elimination of a generator); the invariant factors are unique, so any pivot
+order gives the same answer.
 """
 
 from __future__ import annotations
@@ -503,15 +504,17 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        distinct = {id(r): r for r in self.entries}.values()  # each shared row once
+        if len(self.entries) != self.rows or any(len(r) != self.cols for r in distinct):
             raise PresentationError("matrix dimensions do not match the entry grid")
+        for x in chain.from_iterable(distinct):
+            if type(x) is not int:
+                raise PresentationError(f"matrix entry {x!r} is not an int")
 
     @staticmethod
     def from_rows(rows: list[list[int]], cols: int | None = None) -> IntegerMatrix:
-        if rows:
-            cols = len(rows[0])
-        elif cols is None:
-            cols = 0
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
         return IntegerMatrix(len(rows), cols, tuple(tuple(r) for r in rows))
 
 
@@ -544,65 +547,54 @@ class AbelianInvariants:
         return " x ".join(parts) if parts else "1"
 
 
-def _unit_pass(rows: list[tuple[int, ...]]) -> tuple[int, list[list[int]]]:
-    """Tietze elimination of unit entries from nonzero rows, held as
-    {column: entry}: while a row holds a +-1, take a shortest such row, clear
-    that unit's column from the other rows (touching only their nonzeros),
-    and drop the row and the column, one invariant factor 1 each.  Returns
-    that count and the rest, dense over the columns still holding an entry."""
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    units = 0
-    while picks := [(len(r), i) for i, r in enumerate(sparse) if 1 in map(abs, r.values())]:
-        top = sparse.pop(min(picks)[1])
-        j, u = next((j, x) for j, x in top.items() if abs(x) == 1)
-        for row in sparse:
-            if f := row.get(j, 0) * u:
-                for c, x in top.items():
-                    if y := row.get(c, 0) - f * x:
-                        row[c] = y
-                    else:
-                        del row[c]
-        units += 1
-    sparse = [r for r in sparse if r]
-    cols = sorted(set().union(*sparse))
-    return units, [[r.get(c, 0) for c in cols] for r in sparse]
-
-
 def smith_normal_form(m: IntegerMatrix) -> tuple[int, ...]:
     """Nonzero invariant factors d_1 | d_2 | ... of the integer matrix.
 
-    _unit_pass first takes out the +-1 entries, each an invariant factor 1
-    (builtin relator matrices keep at most one column).  Then one re-pivoting
-    loop over the rest, in unbounded integers: move an entry of least |value|
-    to the pivot (0, 0) and reduce the pivot's column and row by it.  A
-    remainder left is smaller than the pivot, so pick again; if the pivot
-    does not divide a later row, add that row to the pivot row, whose
-    remainder the next pick then brings out.  Otherwise the pivot is the next
-    invariant factor and its row and column go.
+    One re-pivoting loop over the nonzero rows, each held as {column: entry}
+    (each distinct row object once: equal rows span the same lattice), in
+    unbounded integers.  Pick an entry p of least |value|, on a shortest row,
+    so the units of a sparse relator matrix go first (Tietze elimination;
+    Havas-Holt-Rees 1993).  Reduce p's column in the other rows, touching only
+    their nonzeros; then, with no other row in that column, reduce the pivot
+    row's other entries mod p.  A remainder left is smaller than p, so put
+    the row back and pick again.  If p does not divide some entry left, the
+    pivot row becomes that entry's row plus p, whose remainder the next picks
+    bring out.  Otherwise |p| is the next invariant factor, and its row and
+    column go.
     """
-    units, a = _unit_pass([row for row in m.entries if any(row)])
-    invariants = [1] * units
-    while a:
-        _, i, j = min((abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
-        a[0], a[i] = a[i], a[0]
-        for row in a:
-            row[0], row[j] = row[j], row[0]
-        top, p = a[0], a[0][0]
-        for row in a[1:]:
-            q = row[0] // p
-            row[:] = [x - q * y for x, y in zip(row, top)]
-        for c in range(1, len(top)):
-            q = top[c] // p
-            for row in a:
-                row[c] -= q * row[0]
-        if any(top[1:]) or any(row[0] for row in a[1:]):
+    rows = [{j: x for j, x in enumerate(r) if x}
+            for r in {id(r): r for r in m.entries}.values() if any(r)]
+    invariants = []
+    while rows:
+        _, _, i, j = min((abs(x), len(r), i, j) for i, r in enumerate(rows) for j, x in r.items())
+        top = rows.pop(i)
+        p = top[j]
+        hit = [r for r in rows if j in r]
+        for row in hit:
+            q = row[j] // p
+            for c, y in top.items():
+                if z := row.get(c, 0) - q * y:
+                    row[c] = z
+                else:
+                    del row[c]
+        rows = [r for r in rows if r]
+        if any(j in r for r in hit):
+            rows.append(top)
             continue
-        offender = next((row for row in a[1:] if any(x % p for x in row)), None)
-        if offender is not None:
-            top[:] = [x + y for x, y in zip(top, offender)]
+        for c in [c for c in top if c != j]:
+            if y := top[c] % p:
+                top[c] = y
+            else:
+                del top[c]
+        if len(top) > 1:
+            rows.append(top)
+            continue
+        # a unit divides every entry; otherwise find a row holding one p does not
+        offender = abs(p) > 1 and next((r for r in rows for x in r.values() if x % p), None)
+        if offender:
+            rows.append({**offender, j: p})
             continue
         invariants.append(abs(p))
-        a = [row[1:] for row in a[1:] if any(row[1:])]
     return tuple(invariants)
 
 

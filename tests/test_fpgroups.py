@@ -3,6 +3,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -508,7 +509,10 @@ def test_todd_coxeter_raises_when_closing_check_fails(monkeypatch):
 
 def test_smith_examples():
     assert smith_normal_form(IntegerMatrix.from_rows([[1, 0], [0, 1]])) == (1, 1)
+    # 2 does not divide 3 (or 5): the pivot row gains the other row
     assert smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
+    assert smith_normal_form(IntegerMatrix.from_rows([[2, 0, 0], [0, 4, 5]])) == (1, 2)
+    assert smith_normal_form(IntegerMatrix.from_rows([[2**62, 3], [5, 2**62]])) == (1, 2**124 - 15)
     assert smith_normal_form(IntegerMatrix.from_rows([[0, 0, 0]])) == ()
     assert smith_normal_form(IntegerMatrix.from_rows([], cols=3)) == ()
 
@@ -559,23 +563,53 @@ def test_smith_matches_references_on_sparse_matrices():
             assert got == helpers.minor_gcd_invariants(rows)
 
 
-def test_unit_pass_leaves_builtin_matrices_at_most_one_column():
-    left = {
-        "artin": lambda k: [],
-        "unordered_top": lambda k: [],
-        "pure_braid": lambda k: [],
-        "pure_braid_mod_D": lambda k: [],
-        "braid_mod_delta_sq": lambda k: [[k * (k - 1)]],
-        "symmetric": lambda k: [[2]] * (k - 1),
+def test_smith_gives_builtin_invariants_in_closed_form():
+    # the whole invariant tuple of every builtin relator matrix, 1s included
+    closed = {
+        "artin": lambda k: (1,) * (k - 2),
+        "unordered_top": lambda k: (1,) * (k - 2),
+        "braid_mod_delta_sq": lambda k: (1,) * (k - 2) + (k * (k - 1),),
+        "symmetric": lambda k: (1,) * (k - 2) + (2,),
+        "pure_braid": lambda k: (),
+        "pure_braid_mod_D": lambda k: (1,),
     }
-    assert left.keys() == fpgroups._BUILTINS.keys()
-    for name, expected in left.items():
+    assert closed.keys() == fpgroups._BUILTINS.keys()
+    for name, expected in closed.items():
         for k in range(2, 13):
             m = relator_matrix(builtin_presentation(name, k))
-            units, rest = fpgroups._unit_pass([row for row in m.entries if any(row)])
-            assert all(len(row) <= 1 for row in rest), (name, k)
-            assert [[abs(x) for x in row] for row in rest] == expected(k), (name, k)
-            assert smith_normal_form(m)[:units] == (1,) * units
+            assert smith_normal_form(m) == expected(k), (name, k)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.5]],
+        [[2.0, 4.0], [6.0, 3.0]],
+        [["a"]],
+        [[True, 0]],
+        [[np.int64(2**62), np.int64(3)], [np.int64(5), np.int64(2**62)]],
+    ],
+    ids=["float", "integral-floats", "str", "bool", "numpy-int64"],
+)
+def test_integer_matrix_refuses_entries_that_are_not_ints(rows):
+    with pytest.raises(PresentationError, match="is not an int"):
+        IntegerMatrix.from_rows(rows)
+
+
+def test_integer_matrix_reads_a_shared_row_as_its_copies():
+    row, zero = (2, 4), (0, 0)
+    shared = IntegerMatrix(4, 2, (zero, row, zero, row))
+    copies = IntegerMatrix.from_rows([[0, 0], [2, 4], [0, 0], [2, 4]])
+    assert smith_normal_form(shared) == smith_normal_form(copies) == (2,)
+    with pytest.raises(PresentationError, match="0.0 is not an int"):
+        IntegerMatrix(3, 2, (zero, (0.0, 4), zero))
+
+
+def test_integer_matrix_from_rows_honours_explicit_cols():
+    assert IntegerMatrix.from_rows([[1, 2]], cols=2).cols == 2
+    assert IntegerMatrix.from_rows([], cols=3) == IntegerMatrix(0, 3, ())
+    with pytest.raises(PresentationError, match="dimensions"):
+        IntegerMatrix.from_rows([[1, 2]], cols=3)
 
 
 def test_relators_are_encoded_once_per_presentation(monkeypatch):
