@@ -288,15 +288,30 @@ def multiply(u: BraidWord, v: BraidWord) -> BraidWord:
     """Concatenation; no reduction is performed."""
     if u.strands != v.strands:
         raise BraidError(f"strand-count mismatch: {u.strands} vs {v.strands}")
-    return BraidWord(u.strands, u.letters + v.letters)
+    return _word_of(u.strands, u.letters + v.letters, u, v)
 
 
 def inverse(u: BraidWord) -> BraidWord:
-    return BraidWord(u.strands, _inverse_letters(u.letters))
+    return _word_of(u.strands, _inverse_letters(u.letters), u)
 
 
 def power(u: BraidWord, e: int) -> BraidWord:
-    return BraidWord(u.strands, _power_letters(u.letters, e))
+    return _word_of(u.strands, _power_letters(u.letters, e), u)
+
+
+def _word_of(strands: int, letters, *operands) -> BraidWord:
+    """BraidWord(strands, letters) for letters made from the operands' own.
+
+    When every operand is exactly a BraidWord on these strands, its letters
+    passed the check when it was built, and so do their inverses: the result
+    is built without checking them again.  Any other operand, a subclass
+    included, goes through BraidWord(...)."""
+    if any(type(w) is not BraidWord for w in operands):
+        return BraidWord(strands, letters)
+    word = object.__new__(BraidWord)
+    object.__setattr__(word, "strands", strands)
+    object.__setattr__(word, "letters", letters)
+    return word
 
 
 # Words are expanded in full, so every expansion is checked against this many

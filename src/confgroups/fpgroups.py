@@ -22,13 +22,15 @@ stops at a gap; a walk that closes would have scanned without writing, so only
 a walk that meets a gap or ends at another coset goes to scan-and-fill, from
 the start, and the definitions, coincidences and coset numbers are HLT's.
 Only the coincidence queue sees merged cosets: it moves a dead coset's edges
-to its union-find representative, so every other reader takes live rows as
-they stand.  Hitting the coset cap is a normal outcome reported in the table
-status, not an error.  A complete table is returned only after a closing check
-of the table: it holds coset 0, every entry is a coset index, column c^1
-inverts column c, every relator closes from every coset, the subgroup words
-fix coset 0.  The check transposes the rows once and walks every coset at once
-by composing columns with operator.itemgetter.
+to its union-find representative and then drops the dead row, so every other
+reader takes live rows as they stand and only live cosets hold rows.  Hitting
+the coset cap is a normal outcome reported in the table status, not an error.
+A complete table is returned only after a closing check of the table: it
+holds coset 0, every entry is a coset index, column c^1 inverts column c,
+every relator closes from every coset, the subgroup words fix coset 0.  The
+working table and the union-find list are released before the check, which
+holds one copy of the columns, each an operator.itemgetter read straight
+from the rows, and walks every coset at once by composing them.
 Smith normal form is one re-pivoting loop over the nonzero rows held as
 {column: entry}, in unbounded Python integers.  Its pick, least |value| on a
 shortest row, takes the units of a sparse relator matrix first (Tietze
@@ -39,6 +41,7 @@ order gives the same answer.
 from __future__ import annotations
 
 from collections import deque, namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
@@ -336,9 +339,8 @@ class CosetTable:
             # step[c](ends) is x -> ends[column c at x]: composing the columns
             # of a word from its last letter walks it from every coset at once
             # (itemgetter of one index would return a scalar, not a tuple)
-            columns = list(zip(*rows))
-            step = [itemgetter(*column) for column in columns]
-            if any(step[c](columns[c ^ 1]) != cosets for c in range(width)):
+            step = [itemgetter(*map(itemgetter(c), rows)) for c in range(width)]
+            if any(step[c](step[c ^ 1](cosets)) != cosets for c in range(width)):
                 return False
             for cols in self.presentation._rel_cols:
                 ends = cosets
@@ -352,8 +354,10 @@ class CosetTable:
 # Each definition first checks the coset table against this many entries,
 # counting a row as its 2g entries plus 16 for its list, index and final
 # renumbering: about 16 bytes an entry, so whatever max_cosets allows, an
-# enumeration raises PresentationError before it can exhaust memory.  The
-# default cap of 10**5 cosets fits up to 184 columns (pure_braid:12 has 132).
+# enumeration raises PresentationError before it can exhaust memory.  It
+# counts every coset ever defined, though a coset merged away drops its row,
+# so it bounds the enumeration's peak from above.  The default cap of 10**5
+# cosets fits up to 184 columns (pure_braid:12 has 132).
 _MAX_TABLE_ENTRIES = 2 * 10**7
 
 
@@ -399,7 +403,8 @@ def todd_coxeter(
     def coincidence(x: int, y: int) -> None:
         """Merge x and y and every pair that merge forces, the smaller index
         surviving.  Each dead coset's edges move to its representative or are
-        queued, so live rows name only live cosets and columns stay inverse."""
+        queued, so live rows name only live cosets and columns stay inverse,
+        and its row is dropped: the queue resolves dead cosets through find."""
         queue = deque([(x, y)])
         while queue:
             u, v = queue.popleft()
@@ -422,6 +427,7 @@ def todd_coxeter(
                 else:
                     tab[u][c] = z
                     tab[z][c ^ 1] = u
+            tab[v] = None  # its edges have moved: no reader visits a dead row
 
     def scan_and_fill(word_cols: tuple[int, ...], start: int) -> bool:
         """Scan the word from start back to start, defining cosets to bridge
@@ -487,6 +493,7 @@ def todd_coxeter(
         else:
             rows.append(tuple(map(parent.__getitem__, row)))
         tab[x] = None  # so the table and its copy are not both held
+    del tab[:], parent[:], live  # released before the closing check
     result = CosetTable(p, tuple(subgroup), "capped" if capped else "complete", tuple(rows))
     if not capped and not result.verify():
         raise RuntimeError("coset table failed its closing consistency check")
@@ -504,7 +511,12 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.entries, Sequence):
+            raise PresentationError(f"matrix entries {self.entries!r} are not a sequence of rows")
         distinct = {id(r): r for r in self.entries}.values()  # each shared row once
+        for r in distinct:
+            if not isinstance(r, Sequence):
+                raise PresentationError(f"matrix row {r!r} is not a sequence")
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in distinct):
             raise PresentationError("matrix dimensions do not match the entry grid")
         for x in chain.from_iterable(distinct):

@@ -3,6 +3,7 @@
 import itertools
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -139,6 +140,41 @@ def test_multiply_is_concatenation():
     assert multiply(BraidWord(3), word(3, (2, 1))).letters == ((2, 1),)
     with pytest.raises(BraidError):
         multiply(word(3, (1, 1)), word(4, (1, 1)))
+
+
+def test_word_operations_check_only_operands_that_are_not_exactly_braid_words():
+    rng = random.Random(29)
+    for _ in range(50):
+        k = rng.randint(2, 6)
+        u, v = (word(k, *((rng.randint(1, k - 1), rng.choice((1, -1))) for _ in range(rng.randint(0, 8))))
+                for _ in "uv")
+        e = rng.randint(-3, 3)
+        expected = (
+            (multiply(u, v), BraidWord(k, u.letters + v.letters)),
+            (inverse(u), BraidWord(k, tuple((i, -s) for i, s in reversed(u.letters)))),
+            (power(u, e), BraidWord(k, (u.letters if e >= 0 else inverse(u).letters) * abs(e))),
+        )
+        for got, built in expected:
+            assert type(got) is BraidWord and got == built and hash(got) == hash(built)
+
+    class Unchecked(BraidWord):
+        def __post_init__(self):
+            pass
+
+    good = word(3, (1, 1))
+    duck = types.SimpleNamespace(strands=3, letters=((3, 1),))
+    for bad in (Unchecked(3, ((3, 1),)), duck):
+        for call in (lambda: multiply(bad, good), lambda: multiply(good, bad),
+                     lambda: inverse(bad), lambda: power(bad, 2)):
+            with pytest.raises(BraidError, match="out of range for 3 strands"):
+                call()
+    # a well-formed operand that is not exactly a BraidWord still gives one
+    assert type(inverse(Unchecked(3, ((2, 1),)))) is BraidWord
+    assert multiply(types.SimpleNamespace(strands=3, letters=((2, 1),)), good) == word(3, (2, 1), (1, 1))
+    with pytest.raises(BraidError, match="strand-count mismatch: 3 vs 4"):
+        multiply(good, word(4))
+    with pytest.raises(BraidError, match="over the limit"):
+        power(good, braids._MAX_LETTERS + 1)
 
 
 def test_inverse_reverses_and_flips():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,6 +493,23 @@ def test_closing_check_agrees_with_reference_on_edge_tables():
         assert dataclasses.replace(table, status="capped").verify() is False
 
 
+def test_enumeration_memory_follows_the_index_not_the_definitions():
+    # Coxeter's S_7 with its braid relations first: 13,872 cosets are defined
+    # for an index of 5040, and only the live ones keep their rows
+    g = [f"s{i}" for i in range(1, 7)]
+    rels = [" ".join([g[i], g[i + 1]] * 3) for i in range(5)] + [f"{x} {x}" for x in g]
+    rels += [" ".join([g[i], g[j]] * 2) for i in range(6) for j in range(i + 2, 6)]
+    p = parse_presentation(f"gens: {', '.join(g)} ; rels: {', '.join(rels)}")
+    tracemalloc.start()
+    try:
+        table = todd_coxeter(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.num_cosets == 5040
+    assert peak < 40 * table.num_cosets * 2 * len(g)
+
+
 def test_todd_coxeter_raises_when_closing_check_fails(monkeypatch):
     checked = []
     monkeypatch.setattr(fpgroups.CosetTable, "verify", lambda self: checked.append(self) or False)
@@ -594,6 +612,15 @@ def test_smith_gives_builtin_invariants_in_closed_form():
 def test_integer_matrix_refuses_entries_that_are_not_ints(rows):
     with pytest.raises(PresentationError, match="is not an int"):
         IntegerMatrix.from_rows(rows)
+
+
+def test_integer_matrix_refuses_rows_that_are_not_sequences():
+    with pytest.raises(PresentationError, match="matrix row 5 is not a sequence"):
+        IntegerMatrix(1, 1, (5,))
+    with pytest.raises(PresentationError, match="None are not a sequence of rows"):
+        IntegerMatrix(1, 1, None)
+    with pytest.raises(PresentationError, match="is not a sequence"):
+        IntegerMatrix(1, 1, ({0: 1},))
 
 
 def test_integer_matrix_reads_a_shared_row_as_its_copies():
